@@ -252,6 +252,32 @@ func BenchmarkStepSharded(b *testing.B) {
 	}
 }
 
+// BenchmarkNewTable measures routing-table construction (time, bytes and
+// allocations per table) on clean 8x8 and 16x16 meshes and on the faulty
+// 32x32 mesh of the repo benchmark's mesh32-sweep workload (32 faults,
+// fault seed 1). Construction runs once per topology and after every
+// fault reconfiguration, so its cost is part of set-up, not the hot path.
+func BenchmarkNewTable(b *testing.B) {
+	for _, tc := range []struct {
+		name         string
+		side, faults int
+	}{{"8x8", 8, 0}, {"16x16", 16, 0}, {"32x32faulty", 32, 32}} {
+		b.Run(tc.name, func(b *testing.B) {
+			g, mesh, err := sim.Params{Width: tc.side, Height: tc.side, Faults: tc.faults, FaultSeed: 1}.BuildGraph()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := routing.NewTable(g, mesh); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSimulatorCycles measures raw simulator speed: router-cycles
 // per second on a loaded 8x8 DRAIN network (substrate cost, Table II
 // configuration).

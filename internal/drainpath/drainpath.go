@@ -213,10 +213,10 @@ const DefaultSearchBudget = 20_000_000
 // for a single elementary cycle in the link-dependency graph that covers
 // all links, in the style of Hawick & James's circuit enumeration but
 // terminating early at the first covering cycle (paper §III-B). A
-// feasibility prune (every unused link must remain reachable, and every
-// router's remaining in/out degrees must stay balanced) keeps the search
-// near-linear on practical topologies. budget caps the number of extension
-// steps; pass 0 for DefaultSearchBudget.
+// feasibility prune (every unused link must remain reachable from the
+// walk's head) cuts exactly the branches that cannot complete, so the
+// search makes one extension step per link. budget caps the number of
+// extension steps; pass 0 for DefaultSearchBudget.
 func FindCoveringCycle(g *topology.Graph, budget int) (*Path, error) {
 	if g.NumLinks() == 0 {
 		return nil, errors.New("drainpath: topology has no links")
@@ -235,6 +235,7 @@ func FindCoveringCycle(g *topology.Graph, budget int) (*Path, error) {
 		outDeg:   make([]int, g.N()),
 		budget:   budget,
 		outEdges: make([][]int, g.N()),
+		seen:     make([]bool, g.N()),
 	}
 	for _, l := range g.Links() {
 		s.outEdges[l.From] = append(s.outEdges[l.From], l.ID)
@@ -270,6 +271,8 @@ type search struct {
 	outDeg   []int
 	outEdges [][]int
 	budget   int
+	seen     []bool // unusedReachable scratch, per router
+	stack    []int
 }
 
 // extend tries to grow the elementary cycle from router at back to start,
@@ -329,9 +332,14 @@ func (s *search) candidates(at int) []int {
 
 func (s *search) remainingOut(r int) int { return s.outDeg[r] - s.outUsed[r] }
 
-// feasible prunes partial cycles that can no longer be completed: every
-// router must retain balanced unused in/out capacity relative to the walk
-// endpoints, mirroring the Eulerian-circuit existence condition.
+// feasible prunes partial cycles that can no longer be completed. Every
+// router keeps balanced unused in/out degree except the walk's head
+// (one spare out-link) and start (one spare in-link), so the unused links
+// form an Eulerian trail from the head back to start — completing the
+// cycle — exactly when all of them are reachable from the head over
+// unused links. The prune is therefore exact: it cuts only branches that
+// cannot complete, so the search still returns the first covering cycle
+// in its candidate order, and it never backtracks past a dead end.
 func (s *search) feasible(start int) bool {
 	at := s.seq[len(s.seq)-1].To
 	if len(s.seq) == s.g.NumLinks() {
@@ -342,5 +350,27 @@ func (s *search) feasible(start int) bool {
 	if s.remainingOut(at) == 0 {
 		return false
 	}
-	return true
+	return s.unusedReachable(at)
+}
+
+// unusedReachable reports whether every unused link can be reached from
+// router at over unused links.
+func (s *search) unusedReachable(at int) bool {
+	clear(s.seen)
+	s.seen[at] = true
+	stack := append(s.stack[:0], at)
+	reached := 0 // unused links leaving the routers reached so far
+	for len(stack) > 0 {
+		r := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		reached += s.remainingOut(r)
+		for _, id := range s.outEdges[r] {
+			if to := s.g.Link(id).To; !s.used[id] && !s.seen[to] {
+				s.seen[to] = true
+				stack = append(stack, to)
+			}
+		}
+	}
+	s.stack = stack
+	return reached == s.g.NumLinks()-len(s.seq)
 }

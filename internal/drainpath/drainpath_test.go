@@ -187,6 +187,34 @@ func TestSearchBudgetExhaustion(t *testing.T) {
 	}
 }
 
+// TestCoveringCycleHardInputs pins TestDrainPathProperty inputs on which
+// a search that prunes only a head without unused out-links wanders into
+// dead subtrees until its 20M-step default budget runs out, although an
+// Eulerian circuit always exists. The exact reachability prune must find
+// each cycle within one extension step per link.
+func TestCoveringCycleHardInputs(t *testing.T) {
+	for _, in := range []struct {
+		seed           uint64
+		nRaw, extraRaw uint8
+	}{
+		{0x239febb19ab67ceb, 0x27, 0xe5}, // 21 routers, 48 links
+		{0xd4f548a2874adffa, 0xec, 0x30}, // 18 routers, 40 links
+		{0xde43e7d958a08ba1, 0x3b, 0x9b}, // 21 routers, 50 links
+	} {
+		g, err := topology.NewRandomConnected(int(in.nRaw%20)+2, int(in.extraRaw%15), testRNG(in.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := FindCoveringCycle(g, g.NumLinks())
+		if err != nil {
+			t.Fatalf("seed %#x: %v", in.seed, err)
+		}
+		if err := Validate(g, p); err != nil {
+			t.Fatalf("seed %#x: %v", in.seed, err)
+		}
+	}
+}
+
 // Property: both constructions produce valid drain paths on arbitrary
 // random connected topologies, including after random fault injection.
 func TestDrainPathProperty(t *testing.T) {

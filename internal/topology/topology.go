@@ -1,7 +1,7 @@
 // Package topology models arbitrary irregular network topologies as
 // undirected graphs of routers joined by bidirectional links, along with
 // the derived structures the rest of the simulator needs: unidirectional
-// link enumeration, BFS distance tables, spanning trees, diameters and
+// link enumeration, BFS distances, spanning trees, diameters and
 // fault injection that preserves connectivity.
 //
 // The DRAIN paper (HPCA 2020, §III-A) assumes topologies that are
@@ -242,15 +242,6 @@ func (g *Graph) BFSDist(src int) []int {
 		}
 	}
 	return dist
-}
-
-// AllPairsDist returns dist[src][dst] hop distances for all router pairs.
-func (g *Graph) AllPairsDist() [][]int {
-	all := make([][]int, g.n)
-	for r := range all {
-		all[r] = g.BFSDist(r)
-	}
-	return all
 }
 
 // Diameter returns the largest hop distance between any connected pair.

@@ -261,7 +261,10 @@ func TestRandomConnectedProperties(t *testing.T) {
 		if !g.Connected() {
 			return false
 		}
-		all := g.AllPairsDist()
+		all := make([][]int, n)
+		for r := range all {
+			all[r] = g.BFSDist(r)
+		}
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
 				if all[a][b] != all[b][a] || all[a][b] < 0 {
