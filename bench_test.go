@@ -128,81 +128,6 @@ func BenchmarkStep(b *testing.B) {
 	}
 }
 
-// BenchmarkStepRNG measures what the counter-based RNG mode buys at
-// the three standard load points plus an idle-dominated one, on the
-// event engine only (the mode is engine-independent;
-// TestCounterModeByteIdenticalAcrossEngines pins that). The
-// rng=exact/rng=counter pairs are same-binary interleaved runs, so the
-// ratio is pure generator speedup. The win is concentrated at
-// IdleLoad, where the network is empty most cycles and fast-forward
-// windows actually open: counter mode jumps them for free while exact
-// mode must replay 64 rate draws per skipped cycle. From LowLoad
-// (fig11's 0.02) upward the network always holds in-flight packets —
-// no window ever opens — and exact mode's one-integer-compare rate
-// draw is already a small fraction of the cycle, so the pair
-// converges; see DESIGN.md §"Counter-based RNG mode" for the dividing
-// line. cmd/benchjson derives the fast_vs_exact section from this
-// group.
-func BenchmarkStepRNG(b *testing.B) {
-	loads := []struct {
-		name string
-		rate float64
-	}{
-		{"IdleLoad", 0.001},
-		{"LowLoad", 0.02},
-		{"MidLoad", 0.10},
-		{"Saturation", 0.45},
-	}
-	for _, load := range loads {
-		for _, mode := range []traffic.RNGMode{traffic.RNGExact, traffic.RNGCounter} {
-			b.Run(load.name+"/rng="+mode.String(), func(b *testing.B) {
-				r, err := sim.Build(sim.Params{
-					Width: 8, Height: 8, Scheme: sim.SchemeDRAIN, Seed: 1,
-					Engine: noc.EngineEvent, RNGMode: mode,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				pat := traffic.UniformRandom{N: 64}
-				if _, err := r.RunSynthetic(pat, load.rate, 0, 2000); err != nil {
-					b.Fatal(err)
-				}
-				const window = 5000
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := r.RunSynthetic(pat, load.rate, 0, window); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / window
-				b.ReportMetric(ns, "ns/cycle")
-				if ns > 0 {
-					b.ReportMetric(1e9/ns, "cycles/sec")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig11RNG runs the fig11 low-load latency experiment — the
-// workload the counter mode exists for — end to end in both RNG modes.
-// This is the ISSUE acceptance measurement: same binary, interleaved
-// runs, whole-experiment wall clock (build + warmup + measure), so the
-// ns/op ratio is the speedup a user of cmd/experiments -rng-mode
-// counter actually sees. Result tables differ between the modes (the
-// draw sequences differ); TestRNGModeStatisticalEquivalence bounds how
-// much.
-func BenchmarkFig11RNG(b *testing.B) {
-	for _, mode := range []traffic.RNGMode{traffic.RNGExact, traffic.RNGCounter} {
-		b.Run("rng="+mode.String(), func(b *testing.B) {
-			sim.SetDefaultRNGMode(mode)
-			defer sim.SetDefaultRNGMode(traffic.RNGExact)
-			runExperiment(b, "fig11")
-		})
-	}
-}
-
 // BenchmarkStepSharded measures the parallel engine's intra-run scaling
 // on the one-big-network case it exists for: a 64x64 mesh (4096
 // routers) under mid load, at 1, 2, 4 and 8 shards. The shards=1 point

@@ -5,17 +5,16 @@
 // for BenchmarkStep's load-point sub-benchmarks it pairs the event- and
 // dense-engine variants and computes the event-core speedup at each
 // load point, for BenchmarkStepSharded's shards=N variants it computes
-// each shard count's speedup over the serial shards=1 run, and for
-// rng=exact/rng=counter variant pairs (BenchmarkStepRNG,
-// BenchmarkFig11RNG) it computes the counter-mode speedup over exact.
+// each shard count's speedup over the serial shards=1 run.
 //
 // The output document is an append-only `history` array keyed by git
 // SHA + date: if -out already exists, the new entry is appended (or
 // replaces an existing entry with the same SHA, so re-running a bench
 // at one commit is idempotent) instead of discarding prior runs.
 // Pre-history documents (a bare entry at top level) are folded in as
-// the first history element. `make bench` pipes through it to produce
-// BENCH_noc.json.
+// the first history element. Prior entries are carried over as raw
+// JSON, so sections this version no longer derives survive a merge.
+// `make bench` pipes through it to produce BENCH_noc.json.
 package main
 
 import (
@@ -55,28 +54,15 @@ type ShardPoint struct {
 	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
 }
 
-// RNGComparison pairs the exact- and counter-mode variants of one
-// benchmark. The unit records what was compared: ns/cycle for steady-
-// state loops (BenchmarkStepRNG), ns/op for whole-experiment runs
-// (BenchmarkFig11RNG).
-type RNGComparison struct {
-	ExactNs float64 `json:"exact_ns"`
-	FastNs  float64 `json:"fast_ns"`
-	Unit    string  `json:"unit"`
-	// Speedup is exact/counter wall clock: >1 means the counter mode is
-	// faster at this point.
-	Speedup float64 `json:"speedup"`
-}
-
 // BusyCyclePoint pairs one hot benchmark's headline metrics in this run
 // against the previous recorded run: the busy-cycle cost before and
 // after whatever the commit changed. Unlike the same-binary ratios
-// (event_vs_dense, fast_vs_exact), this is a cross-binary — possibly
+// (event_vs_dense, parallel_scaling), this is a cross-binary — possibly
 // cross-machine — comparison, so treat the time speedup as indicative
 // and the allocation columns (which the runtime counts exactly) as the
 // hard numbers.
 type BusyCyclePoint struct {
-	Unit   string  `json:"unit"` // ns/cycle for Step points, ns/op for fig11
+	Unit   string  `json:"unit"` // always ns/cycle
 	PrevNs float64 `json:"prev_ns"`
 	Ns     float64 `json:"ns"`
 	// Speedup is prev/now wall clock: >1 means this run is faster.
@@ -95,15 +81,15 @@ type Entry struct {
 	Benchmarks      []Benchmark               `json:"benchmarks"`
 	EventVsDense    map[string]Comparison     `json:"event_vs_dense,omitempty"`
 	ParallelScaling map[string][]ShardPoint   `json:"parallel_scaling,omitempty"`
-	FastVsExact     map[string]RNGComparison  `json:"fast_vs_exact,omitempty"`
 	BusyCycle       map[string]BusyCyclePoint `json:"busy_cycle,omitempty"`
 	Notes           []string                  `json:"notes,omitempty"`
 }
 
 // Output is the BENCH_noc.json document: every recorded run, oldest
-// first.
+// first. Entries stay raw JSON, so merge passes prior entries through
+// byte for byte and decodes only what it needs.
 type Output struct {
-	History []Entry `json:"history"`
+	History []json.RawMessage `json:"history"`
 }
 
 type noteList []string
@@ -175,37 +161,53 @@ func merge(prev []byte, entry Entry) (*Output, error) {
 				return nil, fmt.Errorf("existing output file: %w", err)
 			}
 			if legacy.Benchmarks != nil {
-				doc.History = []Entry{legacy}
+				doc.History = []json.RawMessage{prev}
 			}
 		}
+	}
+	shas := make([]string, len(doc.History))
+	for i, raw := range doc.History {
+		var key struct {
+			SHA string `json:"sha"`
+		}
+		if err := json.Unmarshal(raw, &key); err != nil {
+			return nil, fmt.Errorf("existing output file: history[%d]: %w", i, err)
+		}
+		shas[i] = key.SHA
 	}
 	// Pair the busy-cycle load points against the most recent run of a
 	// DIFFERENT commit, so re-benching one commit still compares against
 	// its predecessor rather than itself.
-	for i := len(doc.History) - 1; i >= 0; i-- {
-		if doc.History[i].SHA != entry.SHA {
-			entry.BusyCycle = compareBusy(&doc.History[i], &entry)
+	for i := len(shas) - 1; i >= 0; i-- {
+		if shas[i] != entry.SHA {
+			var p Entry
+			if err := json.Unmarshal(doc.History[i], &p); err != nil {
+				return nil, fmt.Errorf("existing output file: history[%d]: %w", i, err)
+			}
+			entry.BusyCycle = compareBusy(&p, &entry)
 			break
 		}
 	}
-	for i := range doc.History {
-		if entry.SHA != "" && doc.History[i].SHA == entry.SHA {
-			doc.History[i] = entry
+	raw, err := json.Marshal(entry)
+	if err != nil {
+		return nil, err
+	}
+	for i, sha := range shas {
+		if entry.SHA != "" && sha == entry.SHA {
+			doc.History[i] = raw
 			return doc, nil
 		}
 	}
-	doc.History = append(doc.History, entry)
+	doc.History = append(doc.History, raw)
 	return doc, nil
 }
 
 // busyCycleNames are the load points the busy-cycle comparison tracks:
-// the event-engine Step points across the load sweep plus the
-// whole-experiment fig11 run.
+// the event-engine Step points across the load sweep.
 var busyCycleNames = []string{
 	"BenchmarkStep/LowLoad/event",
 	"BenchmarkStep/MidLoad/event",
 	"BenchmarkStep/Saturation/event",
-	"BenchmarkFig11RNG/rng=exact",
 }
 
 // compareBusy pairs cur's busy-cycle load points against prev's.
@@ -224,19 +226,12 @@ func compareBusy(prev, cur *Entry) map[string]BusyCyclePoint {
 		if pb == nil || cb == nil {
 			continue
 		}
-		unit := "ns/cycle"
-		pv, pok := pb.Metrics[unit]
-		cv, cok := cb.Metrics[unit]
-		if !pok || !cok {
-			unit = "ns/op"
-			pv, pok = pb.Metrics[unit]
-			cv, cok = cb.Metrics[unit]
-		}
-		if !pok || !cok || pv <= 0 || cv <= 0 {
+		pv, cv := pb.Metrics["ns/cycle"], cb.Metrics["ns/cycle"]
+		if pv <= 0 || cv <= 0 {
 			continue
 		}
 		pt := BusyCyclePoint{
-			Unit: unit, PrevNs: pv, Ns: cv, Speedup: pv / cv,
+			Unit: "ns/cycle", PrevNs: pv, Ns: cv, Speedup: pv / cv,
 			PrevAllocs: pb.Metrics["allocs/op"], Allocs: cb.Metrics["allocs/op"],
 			PrevBytes: pb.Metrics["B/op"], Bytes: cb.Metrics["B/op"],
 		}
@@ -290,7 +285,6 @@ func parse(r io.Reader) (*Entry, error) {
 	}
 	e.EventVsDense = compare(e.Benchmarks)
 	e.ParallelScaling = compareShards(e.Benchmarks)
-	e.FastVsExact = compareRNG(e.Benchmarks)
 	return e, nil
 }
 
@@ -330,61 +324,6 @@ func compare(bs []Benchmark) map[string]Comparison {
 			DenseNsPerCycle: p.dense,
 			EventNsPerCycle: p.event,
 			Speedup:         p.dense / p.event,
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// compareRNG pairs ".../rng=exact" and ".../rng=counter" variants that
-// share a parent name. Steady-state pairs compare on ns/cycle; whole-
-// experiment pairs (no ns/cycle metric) fall back to ns/op. A pair
-// whose variants report different units is dropped rather than
-// compared across units.
-func compareRNG(bs []Benchmark) map[string]RNGComparison {
-	type point struct {
-		v    float64
-		unit string
-	}
-	type pair struct{ exact, counter point }
-	pairs := map[string]*pair{}
-	for _, b := range bs {
-		i := strings.LastIndexByte(b.Name, '/')
-		if i < 0 || !strings.HasPrefix(b.Name[i+1:], "rng=") {
-			continue
-		}
-		pt := point{unit: "ns/cycle"}
-		var ok bool
-		if pt.v, ok = b.Metrics["ns/cycle"]; !ok {
-			pt.unit = "ns/op"
-			if pt.v, ok = b.Metrics["ns/op"]; !ok {
-				continue
-			}
-		}
-		p := pairs[b.Name[:i]]
-		if p == nil {
-			p = &pair{}
-			pairs[b.Name[:i]] = p
-		}
-		switch b.Name[i+1+len("rng="):] {
-		case "exact":
-			p.exact = pt
-		case "counter":
-			p.counter = pt
-		}
-	}
-	out := map[string]RNGComparison{}
-	for parent, p := range pairs {
-		if p.exact.v <= 0 || p.counter.v <= 0 || p.exact.unit != p.counter.unit {
-			continue
-		}
-		out[parent] = RNGComparison{
-			ExactNs: p.exact.v,
-			FastNs:  p.counter.v,
-			Unit:    p.exact.unit,
-			Speedup: p.exact.v / p.counter.v,
 		}
 	}
 	if len(out) == 0 {

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 )
@@ -92,34 +94,6 @@ func TestParseShardScaling(t *testing.T) {
 	}
 }
 
-const rngSample = `BenchmarkStepRNG/LowLoad/rng=exact-8   	     200	    400000 ns/op	      2000 ns/cycle	    500000 cycles/sec
-BenchmarkStepRNG/LowLoad/rng=counter-8 	     800	    100000 ns/op	       500 ns/cycle	   2000000 cycles/sec
-BenchmarkFig11RNG/rng=exact-8          	       2	 600000000 ns/op	        12 rows
-BenchmarkFig11RNG/rng=counter-8        	       6	 200000000 ns/op	        12 rows
-BenchmarkStepRNG/Orphan/rng=counter-8  	     100	    300000 ns/op	      1500 ns/cycle
-PASS
-`
-
-func TestParseRNGComparison(t *testing.T) {
-	doc, err := parse(strings.NewReader(rngSample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.FastVsExact) != 2 {
-		t.Fatalf("fast_vs_exact = %v, want the LowLoad and Fig11 pairs (no Orphan)", doc.FastVsExact)
-	}
-	low := doc.FastVsExact["BenchmarkStepRNG/LowLoad"]
-	// Steady-state pairs compare on ns/cycle, not ns/op.
-	if low.Unit != "ns/cycle" || low.ExactNs != 2000 || low.FastNs != 500 || low.Speedup != 4 {
-		t.Errorf("LowLoad comparison = %+v", low)
-	}
-	fig := doc.FastVsExact["BenchmarkFig11RNG"]
-	// Whole-experiment pairs have no ns/cycle and fall back to ns/op.
-	if fig.Unit != "ns/op" || fig.ExactNs != 600000000 || fig.FastNs != 200000000 || fig.Speedup != 3 {
-		t.Errorf("Fig11 comparison = %+v", fig)
-	}
-}
-
 func TestParseIgnoresGarbage(t *testing.T) {
 	doc, err := parse(strings.NewReader("hello\nBenchmarkX notanumber 5 ns/op\n\n"))
 	if err != nil {
@@ -128,6 +102,18 @@ func TestParseIgnoresGarbage(t *testing.T) {
 	if len(doc.Benchmarks) != 0 || doc.EventVsDense != nil {
 		t.Fatalf("garbage parsed into %+v", doc)
 	}
+}
+
+// entries decodes a merged document's raw history.
+func entries(t *testing.T, doc *Output) []Entry {
+	t.Helper()
+	out := make([]Entry, len(doc.History))
+	for i, raw := range doc.History {
+		if err := json.Unmarshal(raw, &out[i]); err != nil {
+			t.Fatalf("history[%d]: %v", i, err)
+		}
+	}
+	return out
 }
 
 // merge must append new SHAs, replace re-runs of the same SHA in
@@ -139,8 +125,8 @@ func TestMergeHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.History) != 1 || doc.History[0].SHA != "aaa" {
-		t.Fatalf("fresh merge = %+v", doc)
+	if h := entries(t, doc); len(h) != 1 || h[0].SHA != "aaa" {
+		t.Fatalf("fresh merge = %+v", h)
 	}
 
 	prev, _ := json.Marshal(doc)
@@ -149,8 +135,8 @@ func TestMergeHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.History) != 2 || doc.History[0].SHA != "aaa" || doc.History[1].SHA != "bbb" {
-		t.Fatalf("append merge = %+v", doc)
+	if h := entries(t, doc); len(h) != 2 || h[0].SHA != "aaa" || h[1].SHA != "bbb" {
+		t.Fatalf("append merge = %+v", h)
 	}
 
 	prev, _ = json.Marshal(doc)
@@ -159,8 +145,8 @@ func TestMergeHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.History) != 2 || doc.History[1].Date != "2026-08-08" || doc.History[1].Benchmarks[0].Iterations != 3 {
-		t.Fatalf("same-SHA merge did not replace: %+v", doc)
+	if h := entries(t, doc); len(h) != 2 || h[1].Date != "2026-08-08" || h[1].Benchmarks[0].Iterations != 3 {
+		t.Fatalf("same-SHA merge did not replace: %+v", h)
 	}
 }
 
@@ -170,14 +156,15 @@ func TestMergeFoldsLegacyDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.History) != 2 {
-		t.Fatalf("history = %+v, want legacy + new", doc.History)
+	h := entries(t, doc)
+	if len(h) != 2 {
+		t.Fatalf("history = %+v, want legacy + new", h)
 	}
-	if doc.History[0].SHA != "" || len(doc.History[0].Benchmarks) != 1 || doc.History[0].Notes[0] != "old run" {
-		t.Fatalf("legacy fold = %+v", doc.History[0])
+	if h[0].SHA != "" || len(h[0].Benchmarks) != 1 || h[0].Notes[0] != "old run" {
+		t.Fatalf("legacy fold = %+v", h[0])
 	}
-	if doc.History[1].SHA != "ccc" {
-		t.Fatalf("new entry = %+v", doc.History[1])
+	if h[1].SHA != "ccc" {
+		t.Fatalf("new entry = %+v", h[1])
 	}
 }
 
@@ -196,17 +183,18 @@ func TestMergeComputesBusyCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.History[0].BusyCycle != nil {
-		t.Fatalf("first entry has nothing to compare against: %+v", doc.History[0].BusyCycle)
+	if bc := entries(t, doc)[0].BusyCycle; bc != nil {
+		t.Fatalf("first entry has nothing to compare against: %+v", bc)
 	}
 	prev, _ := json.Marshal(doc)
 	doc, err = merge(prev, mk("bbb", 6500, 3200, 1.0e6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc, ok := doc.History[1].BusyCycle["BenchmarkStep/MidLoad/event"]
+	second := entries(t, doc)[1]
+	bc, ok := second.BusyCycle["BenchmarkStep/MidLoad/event"]
 	if !ok {
-		t.Fatalf("busy_cycle missing: %+v", doc.History[1])
+		t.Fatalf("busy_cycle missing: %+v", second)
 	}
 	if bc.Unit != "ns/cycle" || bc.PrevNs != 13000 || bc.Ns != 6500 || bc.Speedup != 2 {
 		t.Errorf("time pairing = %+v", bc)
@@ -220,8 +208,56 @@ func TestMergeComputesBusyCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bc := doc.History[1].BusyCycle["BenchmarkStep/MidLoad/event"]; bc.Speedup != 1 || bc.PrevNs != 13000 {
+	if bc := entries(t, doc)[1].BusyCycle["BenchmarkStep/MidLoad/event"]; bc.Speedup != 1 || bc.PrevNs != 13000 {
 		t.Errorf("same-SHA re-merge pairing = %+v", bc)
+	}
+}
+
+// Merging into the committed BENCH_noc.json must leave every prior
+// entry byte for byte as it was, including sections this version no
+// longer derives (the recorded fast_vs_exact comparisons).
+func TestMergeKeepsCommittedHistory(t *testing.T) {
+	prev, err := os.ReadFile("../../BENCH_noc.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before Output
+	if err := json.Unmarshal(prev, &before); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(prev, []byte(`"fast_vs_exact"`)) {
+		t.Fatal("committed history lost its fast_vs_exact sections")
+	}
+	entry, err := parse(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry.SHA = "new"
+	doc, err := merge(prev, *entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Encode exactly as main does, then read the document back.
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(doc); err != nil {
+		t.Fatal(err)
+	}
+	var after Output
+	if err := json.Unmarshal(buf.Bytes(), &after); err != nil {
+		t.Fatal(err)
+	}
+	if len(after.History) != len(before.History)+1 {
+		t.Fatalf("history has %d entries, want %d", len(after.History), len(before.History)+1)
+	}
+	for i, raw := range before.History {
+		if !bytes.Equal(after.History[i], raw) {
+			t.Errorf("history[%d] changed:\n%s\nwant\n%s", i, after.History[i], raw)
+		}
+	}
+	if last := entries(t, &after)[len(after.History)-1]; last.SHA != "new" || last.BusyCycle == nil {
+		t.Errorf("new entry = %+v, want sha new with a busy_cycle pairing", last)
 	}
 }
 

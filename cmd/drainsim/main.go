@@ -40,7 +40,6 @@ func main() {
 	tracePath := flag.String("trace", "", "write a per-packet CSV trace to this file")
 	sweep := flag.String("sweep", "", "comma-separated offered loads for a latency/throughput sweep (overrides -rate)")
 	shards := flag.Int("shards", 0, "run the sharded parallel engine with this many shards (0 = serial event engine; results are identical for any value)")
-	rngMode := flag.String("rng-mode", "exact", "synthetic-traffic RNG discipline: exact (byte-reproducible) or counter (statistically equivalent, much faster at low load)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -84,17 +83,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	mode, err := traffic.ParseRNGMode(*rngMode)
-	if err != nil {
-		fatal(fmt.Errorf("bad -rng-mode: %v", err))
-	}
 	p := sim.Params{
 		Width: w, Height: h,
 		Faults: *faults, FaultSeed: *faultSeed,
 		Scheme: sch, Epoch: *epoch, Seed: *seed,
 		Shards:        *shards,
 		FaultSchedule: sched,
-		RNGMode:       mode,
 	}
 	if *wl != "" {
 		p.Classes = 3
@@ -173,7 +167,7 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("traffic: %s at %.3f packets/node/cycle\n", pat.Name(), *rate)
-	fmt.Printf("rng: %v mode, %d cycles fast-forwarded\n", res.RNGMode, res.FastForwarded)
+	fmt.Printf("fast-forwarded: %d cycles\n", res.FastForwarded)
 	fmt.Printf("accepted: %.4f packets/node/cycle\n", res.Accepted)
 	fmt.Printf("latency: avg=%.1f p99=%d cycles\n", res.AvgLatency, res.P99Latency)
 	fmt.Printf("hops: avg=%.2f, misroutes/1k packets: %.1f\n", res.AvgHops, res.MisroutesPerK)

@@ -1,11 +1,9 @@
 package main
 
 import (
-	"strings"
 	"testing"
 
 	"drain/internal/sim"
-	"drain/internal/traffic"
 )
 
 // The scheme vocabulary lives in sim.ParseScheme; this pins the CLI's
@@ -39,31 +37,6 @@ func TestParseScheme(t *testing.T) {
 		got, err := sim.ParseScheme(sch.String())
 		if err != nil || got != sch {
 			t.Errorf("round-trip %v: got %v, err %v", sch, got, err)
-		}
-	}
-}
-
-// The -rng-mode vocabulary lives in traffic.ParseRNGMode; this pins the
-// CLI's view of it, including the flag's default and the requirement
-// that a bad value's error teaches the accepted modes.
-func TestParseRNGModeFlagVocabulary(t *testing.T) {
-	for in, want := range map[string]traffic.RNGMode{
-		"exact":   traffic.RNGExact,
-		"counter": traffic.RNGCounter,
-		"":        traffic.RNGExact, // flag default
-	} {
-		got, err := traffic.ParseRNGMode(in)
-		if err != nil || got != want {
-			t.Errorf("ParseRNGMode(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	_, err := traffic.ParseRNGMode("precise")
-	if err == nil {
-		t.Fatal("ParseRNGMode accepted an unknown mode")
-	}
-	for _, mode := range []string{"exact", "counter"} {
-		if !strings.Contains(err.Error(), mode) {
-			t.Errorf("error %q does not list accepted mode %q", err, mode)
 		}
 	}
 }

@@ -25,7 +25,6 @@ import (
 
 	"drain/internal/experiments"
 	"drain/internal/sim"
-	"drain/internal/traffic"
 )
 
 // main defers to run so the profile-flushing defers fire before the
@@ -42,7 +41,6 @@ func run() int {
 	jsonOut := flag.String("json", "", "also write machine-readable results to this JSON file")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for independent simulation runs (result tables are identical for any value)")
 	shards := flag.Int("shards", 0, "intra-run parallelism: shard every simulation's network across this many workers (0 = serial; result tables are identical for any value)")
-	rngMode := flag.String("rng-mode", "exact", "synthetic-traffic RNG discipline: exact (byte-reproducible) or counter (statistically equivalent, much faster at low load; changes result tables)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	list := flag.Bool("list", false, "list available experiments and exit")
@@ -57,12 +55,6 @@ func run() int {
 
 	experiments.SetParallelism(*parallel)
 	sim.SetDefaultShards(*shards)
-	mode, err := traffic.ParseRNGMode(*rngMode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: bad -rng-mode: %v\n", err)
-		return 2
-	}
-	sim.SetDefaultRNGMode(mode)
 
 	// Ctrl-C / SIGTERM cancels the in-flight sweep: the context reaches
 	// every simulation step loop, so long full-scale runs stop within

@@ -9,7 +9,6 @@ import (
 const (
 	dirHotpath        = "hotpath"
 	dirColdpath       = "coldpath"
-	dirOrderfree      = "orderfree"
 	dirCtxcarrier     = "ctxcarrier"
 	dirParallelphase  = "parallelphase"
 	dirStaged         = "staged"
@@ -21,7 +20,7 @@ const (
 // census (TestDirectiveCensus) and the docs all derive from this one
 // list, so a new directive cannot be added without showing up in each.
 var DirectiveKinds = []string{
-	dirHotpath, dirColdpath, dirOrderfree, dirCtxcarrier,
+	dirHotpath, dirColdpath, dirCtxcarrier,
 	dirParallelphase, dirStaged, dirCachekeyExempt,
 }
 

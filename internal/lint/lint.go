@@ -18,7 +18,7 @@
 //     context is stored in a struct field, and simulation loops inside
 //     ctx-taking functions actually consult their ctx.
 //
-// The dataflow/effects four (this PR; DESIGN.md §13):
+// The dataflow/effects four (DESIGN.md §12):
 //
 //   - shardsafe: the write-set of every function reachable from the
 //     sharded engine's parallel phases stays inside the goroutine's
@@ -51,8 +51,6 @@
 //	                                hot-path walk (amortized or failure
 //	                                paths that cannot run in steady
 //	                                state)
-//	//drain:orderfree <reason>      on a map-range statement: iteration
-//	                                is provably order-insensitive
 //	//drain:ctxcarrier <reason>     on a context.Context struct field:
 //	                                the struct is a queue/message
 //	                                carrier moving a request-scoped ctx
@@ -205,11 +203,6 @@ func DefaultConfig() *Config {
 			"internal/noc.Network.SkipIdle",
 			"internal/noc.Network.DiscardEjected",
 			"internal/traffic.Generator.SkipQuiet",
-			// Counter-mode schedule maintenance: one reschedule per
-			// injection (gap sampling + heap sift) must stay alloc-free.
-			// Generator.Tick itself cannot be a root — emit creates
-			// packets by design — so the fast path is rooted here.
-			"internal/traffic.Generator.reschedule",
 			// Live reconfiguration runs mid-simulation between Steps; the
 			// overlay swap, flight drops and buffer evacuations must not
 			// allocate (the routing-table rebuild happens outside, in sim).
@@ -230,14 +223,10 @@ func DefaultConfig() *Config {
 			"internal/noc.parallelEngine.planShard",
 			"internal/noc.parallelEngine.injectShard",
 		},
-		// The traffic generator's draw primitives: the per-packet gap
-		// sampler, the counter-stream draw, and emit (which reseeds the
-		// derived stream in counter mode and draws destinations in both).
+		// The traffic generator's draw primitive: emit draws each
+		// injected packet's destination and size.
 		RNGDrawFuncs: []string{
-			"internal/traffic.Generator.gapAfter",
-			"internal/traffic.Generator.counterDraw",
 			"internal/traffic.Generator.emit",
-			"internal/traffic.Generator.reschedule",
 		},
 		// The two structs whose JSON encodings feed the server's SHA-256
 		// content address (request.go Key).

@@ -141,6 +141,6 @@ func TestDirectiveValidation(t *testing.T) {
 		}
 	}
 	if !sawBare {
-		t.Error("bare //drain:orderfree directive was not reported")
+		t.Error("bare //drain:coldpath directive was not reported")
 	}
 }

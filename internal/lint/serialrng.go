@@ -3,11 +3,10 @@ package lint
 // runSerialRNG proves the property the sharded engine's byte-identity
 // rests on: no RNG draw is reachable from a parallel-phase function.
 // Every randomized decision — arbitration draws via the network's
-// seeded *rand.Rand, the traffic generator's PCG stream, the
-// counter-mode derived-stream reseed — must execute on the stepping
-// goroutine in the serial commit order, or the draw sequence (and with
-// it every downstream byte) would depend on shard count and phase
-// interleaving.
+// seeded *rand.Rand, the traffic generator's PCG stream — must execute
+// on the stepping goroutine in the serial commit order, or the draw
+// sequence (and with it every downstream byte) would depend on shard
+// count and phase interleaving.
 //
 // The walk is the same static-call BFS the other effect analyzers use,
 // from the configured ParallelPhaseRoots plus //drain:parallelphase
@@ -15,7 +14,7 @@ package lint
 // (math/rand, math/rand/v2, crypto/rand — free functions and methods on
 // their types, including rand.Source interface methods) is a finding,
 // as is a call matching Config.RNGDrawFuncs, the repo's own draw
-// primitives (the counter-stream sampler and the emit-time reseed).
+// primitives (the generator's emit).
 // There is deliberately no suppression directive: a draw inside a
 // parallel phase is never sound, so the only fix is moving the draw to
 // a serial phase or removing the root.

@@ -62,8 +62,8 @@ type okCarrier struct {
 
 // A directive without a reason is itself a finding.
 //
-//drain:orderfree
-// want:-1 `\[directive\] //drain:orderfree requires a reason`
+//drain:coldpath
+// want:-1 `\[directive\] //drain:coldpath requires a reason`
 func sumAll(xs []int) int {
 	t := 0
 	for _, x := range xs {

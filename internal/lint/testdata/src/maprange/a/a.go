@@ -41,11 +41,11 @@ func sortedVals(m map[string]int) []int {
 	return out
 }
 
-// An annotated order-insensitive reduction is allowed.
+// Even an order-insensitive reduction is flagged: collect+sort is the
+// only accepted shape.
 func sum(m map[string]int) int {
 	total := 0
-	//drain:orderfree integer addition is commutative over any visit order
-	for _, v := range m {
+	for _, v := range m { // want `\[maprange\] iteration over map map\[string\]int has randomized order`
 		total += v
 	}
 	return total

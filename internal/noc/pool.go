@@ -18,7 +18,7 @@ package noc
 // per-shard splitting and refills in exactly the serial engines' order
 // for every K; and since no observable output depends on *which* struct
 // backs a packet (all outputs are field values, never pointer
-// identities), reuse cannot perturb byte-identity. DESIGN.md §14 has
+// identities), reuse cannot perturb byte-identity. DESIGN.md §13 has
 // the full ownership argument.
 
 // ReleasePacket returns p to the network's free-list for reuse by a

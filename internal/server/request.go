@@ -66,16 +66,6 @@ type Request struct {
 	// request at shards=1 from cache, and vice versa. Ignored by figure
 	// jobs (those follow the process default only).
 	Shards int `json:"shards,omitempty"`
-
-	// RNGMode selects the synthetic generator's draw discipline
-	// (traffic.ParseRNGMode vocabulary: "exact", the default, or
-	// "counter"). Unlike Shards the mode changes the computed results —
-	// counter mode is statistically equivalent but draws different
-	// packets — so it IS part of the cache key (it rides inside the
-	// canonical form's embedded sim.Params). Sweep-only: figure jobs are
-	// the paper's byte-reproducible tables and always run exact; a
-	// counter-mode figure request is rejected, not silently ignored.
-	RNGMode string `json:"rng_mode,omitempty"`
 }
 
 // maxMesh bounds served topologies: a request is user input, and an
@@ -160,16 +150,6 @@ func (req Request) canonicalFigure() (canonical, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	// Figures are the paper's committed tables and always run in the
-	// byte-reproducible exact mode; accepting rng_mode here would hand
-	// back exact-mode (possibly cached) results mislabeled as counter
-	// runs. Reject instead of ignoring. An explicit "exact" is the
-	// default spelled out, so it stays valid.
-	if mode, err := traffic.ParseRNGMode(req.RNGMode); err != nil {
-		return canonical{}, err
-	} else if mode != traffic.RNGExact {
-		return canonical{}, fmt.Errorf("figure jobs always run in exact mode (rng_mode %q applies to sweep jobs only)", req.RNGMode)
-	}
 	return canonical{Kind: KindFigure, Fig: req.Fig, Scale: scale, Seed: seed}, nil
 }
 
@@ -197,13 +177,6 @@ func (req Request) canonicalSweep() (canonical, error) {
 	if len(req.FaultSchedule) > maxFaultEvents {
 		return canonical{}, fmt.Errorf("too many fault events (%d > %d)", len(req.FaultSchedule), maxFaultEvents)
 	}
-	// Resolved here, never via sim.SetDefaultRNGMode: a process default
-	// would change results behind the cache key's back, so the server
-	// leaves it untouched and bakes the explicit mode into Params.
-	rngMode, err := traffic.ParseRNGMode(req.RNGMode)
-	if err != nil {
-		return canonical{}, err
-	}
 	p := sim.Params{
 		Width: req.Width, Height: req.Height,
 		Faults: req.Faults, FaultSeed: req.FaultSeed,
@@ -212,7 +185,6 @@ func (req Request) canonicalSweep() (canonical, error) {
 		Epoch:         req.Epoch,
 		Seed:          req.Seed,
 		FaultSchedule: req.FaultSchedule,
-		RNGMode:       rngMode,
 	}.Normalized()
 	if p.FaultSeed == 0 {
 		p.FaultSeed = 1

@@ -97,33 +97,6 @@ func TestKeyIncludesFaultSchedule(t *testing.T) {
 	}
 }
 
-// The RNG mode changes what a sweep computes (counter mode draws
-// different packets), so — unlike shards — it MUST be part of the
-// cache key; an explicit "exact" and an omitted mode are the same
-// simulation and must share one.
-func TestKeyIncludesRNGMode(t *testing.T) {
-	base := `{"kind":"sweep","scheme":"drain","width":8,"height":8}`
-	exact := `{"kind":"sweep","scheme":"drain","width":8,"height":8,"rng_mode":"exact"}`
-	counter := `{"kind":"sweep","scheme":"drain","width":8,"height":8,"rng_mode":"counter"}`
-	if a, b := keyOf(t, base), keyOf(t, exact); a != b {
-		t.Fatalf("explicit exact mode changed the cache key: %s vs %s", a, b)
-	}
-	if a, b := keyOf(t, base), keyOf(t, counter); a == b {
-		t.Fatalf("counter mode did not change the cache key: %s", a)
-	}
-	// Shards still ride outside the key for counter-mode sweeps.
-	shardedCounter := `{"kind":"sweep","scheme":"drain","width":8,"height":8,"rng_mode":"counter","shards":4}`
-	if a, b := keyOf(t, counter), keyOf(t, shardedCounter); a != b {
-		t.Fatalf("shards changed the key of a counter-mode sweep: %s vs %s", a, b)
-	}
-	// Figures accept only the default spelled out: an explicit "exact"
-	// is the same job as an omitted mode ("counter" is rejected —
-	// TestCanonicalizeRejectsBadRequests).
-	if a, b := keyOf(t, `{"fig":"fig6"}`), keyOf(t, `{"fig":"fig6","rng_mode":"exact"}`); a != b {
-		t.Fatalf("explicit exact mode changed a figure's cache key: %s vs %s", a, b)
-	}
-}
-
 // Any semantically different request must miss: each axis change below
 // must produce a distinct key.
 func TestKeySemanticChangesDiffer(t *testing.T) {
@@ -167,9 +140,6 @@ func TestCanonicalizeRejectsBadRequests(t *testing.T) {
 		`{"kind":"sweep","rates":[0.0]}`,       // rate out of range
 		`{"kind":"sweep","warmup":-1}`,         // negative warmup
 		`{"kind":"sweep","shards":-1}`,         // negative shards
-		`{"kind":"sweep","rng_mode":"fast"}`,   // unknown rng mode
-		`{"fig":"fig6","rng_mode":"counter"}`,  // figures are exact-only
-		`{"fig":"fig6","rng_mode":"fast"}`,     // unknown rng mode (figure)
 		`{"kind":"sweep","scheme":"dor","fault_schedule":[{"cycle":10,"a":1,"b":2,"fail":true}]}`,                        // DoR needs a fault-free mesh
 		`{"kind":"sweep","fault_schedule":[{"cycle":-1,"a":1,"b":2,"fail":true}]}`,                                       // negative cycle
 		`{"kind":"sweep","fault_schedule":[{"cycle":10,"a":1,"b":3,"fail":true}]}`,                                       // no such mesh link

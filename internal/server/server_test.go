@@ -288,6 +288,11 @@ func TestBadRequestsRejected(t *testing.T) {
 		`{"figs":"fig6"}`,               // unknown field
 		`{"fig":"fig999"}`,              // unknown figure
 		`{"kind":"sweep","width":1000}`, // out-of-range mesh
+		// rng_mode is not a request field: every spelling is unknown.
+		`{"kind":"sweep","rng_mode":"fast"}`,
+		`{"kind":"sweep","rng_mode":"exact"}`,
+		`{"fig":"fig6","rng_mode":"counter"}`,
+		`{"fig":"fig6","rng_mode":"fast"}`,
 	} {
 		resp, data := postJob(t, ts.URL, body)
 		if resp.StatusCode != http.StatusBadRequest {

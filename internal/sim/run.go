@@ -38,10 +38,13 @@ type SyntheticResult struct {
 	DeadlockCycle int64
 	Counters      noc.Counters
 	Cycles        int64
-	// RNGMode is the generator discipline the run actually used (after
-	// resolving the process default); FastForwarded counts the cycles
-	// the idle fast-forward jumped over instead of stepping.
-	RNGMode       traffic.RNGMode
+	// RNGMode is always traffic.RNGExact.
+	//
+	// Deprecated: kept only so the JSON form of a result, which
+	// perfbench's mesh32-sweep digests hash, stays unchanged.
+	RNGMode traffic.RNGMode
+	// FastForwarded counts the cycles the idle fast-forward jumped over
+	// instead of stepping.
 	FastForwarded int64
 }
 
@@ -58,9 +61,8 @@ func (r *Runner) RunSynthetic(pattern traffic.Pattern, rate float64, warmup, mea
 // cancellation error (wrapping ctx.Err()) within that cycle bound. With
 // context.Background() the results are byte-identical to RunSynthetic.
 func (r *Runner) RunSyntheticContext(ctx context.Context, pattern traffic.Pattern, rate float64, warmup, measure int64) (SyntheticResult, error) {
-	mode := r.Params.effectiveRNGMode()
-	res := SyntheticResult{Offered: rate, RNGMode: mode}
-	gen := traffic.NewGeneratorMode(pattern, rate, r.Params.Seed^0x1234, mode, r.Graph.N())
+	res := SyntheticResult{Offered: rate}
+	gen := traffic.NewGenerator(pattern, rate, r.Params.Seed^0x1234)
 	gen.CtrlFraction = max(0, r.Params.CtrlFraction)
 	gen.DataFlits = r.Params.MaxFlits
 	var lat stats.Sample
@@ -70,8 +72,8 @@ func (r *Runner) RunSyntheticContext(ctx context.Context, pattern traffic.Patter
 	if r.Trace != nil {
 		trace = tracer(r.Trace)
 	}
-	// Chain rather than replace any caller-installed ejection hook (the
-	// statistical-equivalence tests tap per-packet latencies this way).
+	// Chain rather than replace any caller-installed ejection hook, so a
+	// caller can tap per-packet latencies.
 	prev := r.Net.OnEject
 	r.Net.OnEject = func(p *noc.Packet) {
 		if prev != nil {

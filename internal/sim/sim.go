@@ -17,7 +17,6 @@ import (
 	"drain/internal/routing"
 	"drain/internal/spinrec"
 	"drain/internal/topology"
-	"drain/internal/traffic"
 )
 
 // Scheme selects the deadlock-freedom mechanism under test.
@@ -187,14 +186,6 @@ type Params struct {
 	//drain:cachekey-exempt a prebuilt table is a memoization of the pure routing function of the (already-keyed) topology parameters; reusing one cannot change results
 	RoutingTable *routing.Table `json:"-"`
 
-	// RNGMode selects the synthetic generator's draw discipline (see
-	// traffic.RNGMode): exact (default, byte-reproducible) or counter
-	// (statistically equivalent, O(1) quiet cycles). Zero defers to the
-	// process default (SetDefaultRNGMode). Unlike Shards the mode
-	// changes concrete results — different draws, different packets —
-	// so it stays IN the JSON form cache keys are derived from.
-	RNGMode traffic.RNGMode `json:",omitempty"`
-
 	Seed uint64
 }
 
@@ -207,29 +198,6 @@ var defaultShards atomic.Int64
 // makes every Build with Params.Shards == 0 use the parallel engine
 // with n shards; n <= 0 restores the built-in (serial event engine).
 func SetDefaultShards(n int) { defaultShards.Store(int64(n)) }
-
-// defaultRNGMode is the process-wide RNG mode applied when a Params
-// leaves RNGMode at zero (set from the -rng-mode flag of
-// cmd/experiments, whose figures build Params internally). Unlike
-// defaultShards this default changes results, so anything that
-// cache-keys Params (the server) must resolve RNGMode explicitly
-// rather than lean on the process default — and drainserved never
-// calls SetDefaultRNGMode.
-var defaultRNGMode atomic.Int64
-
-// SetDefaultRNGMode sets the process-wide default RNG mode used when
-// Params.RNGMode is zero (RNGExact). Passing traffic.RNGExact restores
-// the built-in default.
-func SetDefaultRNGMode(m traffic.RNGMode) { defaultRNGMode.Store(int64(m)) }
-
-// effectiveRNGMode resolves a Params' RNG mode against the process
-// default.
-func (p *Params) effectiveRNGMode() traffic.RNGMode {
-	if p.RNGMode != 0 {
-		return p.RNGMode
-	}
-	return traffic.RNGMode(defaultRNGMode.Load())
-}
 
 func (p *Params) setDefaults() {
 	if p.Width <= 0 {

@@ -171,6 +171,18 @@ func TestGeneratorBacksOffWhenQueueFull(t *testing.T) {
 	}
 }
 
+// TestNewGeneratorModeExactIsNewGenerator: the deprecated mode
+// constructor is the plain constructor — same draws, same injections.
+func TestNewGeneratorModeExactIsNewGenerator(t *testing.T) {
+	a := NewGenerator(UniformRandom{N: 16}, 0.1, 5)
+	b := NewGeneratorMode(UniformRandom{N: 16}, 0.1, 5, RNGExact, 16)
+	for i := 0; i < 100; i++ {
+		if x, y := a.rng.Uint64(), b.rng.Uint64(); x != y {
+			t.Fatalf("draw %d diverges", i)
+		}
+	}
+}
+
 // Property: every pattern returns in-range destinations for every source.
 func TestPatternsInRangeProperty(t *testing.T) {
 	f := func(seed uint64) bool {
