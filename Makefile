@@ -22,8 +22,8 @@ vet:
 
 ## lint: the repo's own static analyzers over the whole module — the
 ## syntactic four (maprange, nondet, hotalloc, ctxflow) plus the
-## dataflow four (shardsafe, serialrng, keycomplete, escapecheck); see
-## internal/lint and DESIGN.md §10/§12.
+## dataflow two (keycomplete, escapecheck); see internal/lint and
+## DESIGN.md §10/§12.
 lint:
 	$(GO) run ./cmd/drainvet ./...
 
@@ -34,12 +34,12 @@ test-allocs:
 	$(GO) test -run 'TestStepAllocs|TestRunAllocsPerDeliveredPacket|TestGoldenCounters' -count=1 . ./internal/sim
 
 ## bench: run the hot-path benchmarks (BenchmarkStep's event/dense load
-## points and BenchmarkStepSharded's shards=N scaling on the 64x64
-## mesh), keeping the raw benchstat-compatible text in BENCH_noc.txt
-## and appending a machine-readable entry (ns/cycle, cycles/sec, allocs,
-## event-vs-dense and shards-vs-serial speedups) to the history array
-## in BENCH_noc.json, keyed by git SHA + date — prior runs are kept
-## byte for byte, and re-benching the same commit replaces its entry.
+## points and BenchmarkStepAllocs), keeping the raw benchstat-compatible
+## text in BENCH_noc.txt and appending a machine-readable entry
+## (ns/cycle, cycles/sec, allocs and event-vs-dense speedups) to the
+## history array in BENCH_noc.json, keyed by git SHA + date — prior runs
+## are kept byte for byte, and re-benching the same commit replaces its
+## entry.
 ## Feed BENCH_noc.txt files from two builds to benchstat for A/B
 ## comparisons; the event/dense sub-benchmarks give same-binary
 ## comparisons immune to machine drift.
@@ -49,7 +49,6 @@ bench:
 		-sha "$$(git rev-parse --short HEAD)$$(git diff --quiet HEAD -- . ':!BENCH_noc.json' ':!BENCH_noc.txt' || echo -dirty)" \
 		-date "$$(date -u +%F)" \
 		-note "event-vs-dense speedups are same-binary, same-run ratios of BenchmarkStep's engine sub-benchmarks (see DESIGN.md 'Event-driven core' for the measurement protocol)" \
-		-note "shards-vs-serial speedups compare BenchmarkStepSharded's parallel-engine shard counts against shards=1 on the same binary; they depend on available CPUs (see DESIGN.md 'Sharded parallel engine')" \
 		< BENCH_noc.txt
 
 ## bench-all: every benchmark, including the full experiment
@@ -57,13 +56,16 @@ bench:
 bench-all:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-## fuzz: short native-fuzz smoke over the noc invariant properties and
-## the dense-vs-event engine byte-identity differential.
+## fuzz: short native-fuzz smoke over the noc invariant properties, the
+## dense-vs-event engine byte-identity differential, and the external
+## inputs (server requests, fault-schedule strings).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzConservation -fuzztime=$(FUZZTIME) ./internal/noc
 	$(GO) test -run=^$$ -fuzz=FuzzDrainRotation -fuzztime=$(FUZZTIME) ./internal/noc
 	$(GO) test -run=^$$ -fuzz=FuzzDenseVsEvent -fuzztime=$(FUZZTIME) ./internal/noc
+	$(GO) test -run=^$$ -fuzz=FuzzCanonicalize -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run=^$$ -fuzz=FuzzParseFaultSchedule -fuzztime=$(FUZZTIME) ./internal/sim
 
 ## results: regenerate the quick-scale markdown tables under results/.
 results:

@@ -128,55 +128,6 @@ func BenchmarkStep(b *testing.B) {
 	}
 }
 
-// BenchmarkStepSharded measures the parallel engine's intra-run scaling
-// on the one-big-network case it exists for: a 64x64 mesh (4096
-// routers) under mid load, at 1, 2, 4 and 8 shards. The shards=1 point
-// doubles as the zero-overhead check against the serial engines (the
-// inline fast path makes it the event algorithm verbatim), and
-// cmd/benchjson derives speedup-vs-shards=1 from the group. Results are
-// byte-identical at every shard count, so the ratio is pure engine
-// speedup; scaling beyond 1 requires a multi-core host.
-func BenchmarkStepSharded(b *testing.B) {
-	// One routing table serves all four networks: at 4096 routers its
-	// construction dwarfs everything else in Build, and tables are
-	// immutable (sim.Params.RoutingTable).
-	mesh := topology.MustMesh(64, 64)
-	tab, err := routing.NewTable(mesh.Graph, mesh)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run("MidLoad/shards="+strconv.Itoa(shards), func(b *testing.B) {
-			r, err := sim.BuildOn(mesh.Graph, mesh, sim.Params{
-				Width: 64, Height: 64, Scheme: sim.SchemeDRAIN, Seed: 1,
-				InjectCap: 16, // bound queue growth; identical dynamics at every K
-				Shards:    shards, RoutingTable: tab,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer r.Close()
-			pat := traffic.UniformRandom{N: 64 * 64}
-			if _, err := r.RunSynthetic(pat, 0.10, 0, 500); err != nil {
-				b.Fatal(err)
-			}
-			const window = 400
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.RunSynthetic(pat, 0.10, 0, window); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / window
-			b.ReportMetric(ns, "ns/cycle")
-			if ns > 0 {
-				b.ReportMetric(1e9/ns, "cycles/sec")
-			}
-		})
-	}
-}
-
 // BenchmarkNewTable measures routing-table construction (time, bytes and
 // allocations per table) on clean 8x8 and 16x16 meshes and on the faulty
 // 32x32 mesh of the repo benchmark's mesh32-sweep workload (32 faults,

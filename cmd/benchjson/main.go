@@ -4,8 +4,7 @@
 // reported metric (ns/op, ns/cycle, cycles/sec, B/op, allocs/op, ...);
 // for BenchmarkStep's load-point sub-benchmarks it pairs the event- and
 // dense-engine variants and computes the event-core speedup at each
-// load point, for BenchmarkStepSharded's shards=N variants it computes
-// each shard count's speedup over the serial shards=1 run.
+// load point.
 //
 // The output document is an append-only `history` array keyed by git
 // SHA + date: if -out already exists, the new entry is appended (or
@@ -15,6 +14,23 @@
 // the first history element. Prior entries are carried over as raw
 // JSON, so sections this version no longer derives survive a merge.
 // `make bench` pipes through it to produce BENCH_noc.json.
+//
+// With -budget FILE it is instead the allocation gate: it checks each
+// budgeted benchmark's allocs/op against its ceiling in FILE
+// (alloc_budget.json) and exits non-zero on any violation, or when a
+// budgeted benchmark is missing from the input, so a renamed benchmark
+// cannot silently retire its budget. Allocation counts, unlike timings,
+// are exact and machine-independent: the runtime counts every heap
+// allocation, so the same binary reports the same allocs/op on a loaded
+// CI runner and a quiet workstation. That makes them the one hot-path
+// regression signal CI can gate on. The ceilings are calibrated at
+// -benchtime=10x (fixed iteration counts keep the per-op amortization of
+// warm-up allocations stable) with roughly 3x headroom.
+//
+// Usage:
+//
+//	go test -bench=... -benchmem . | benchjson -out BENCH_noc.json -sha ... -date ...
+//	go test -bench=... -benchmem . | benchjson -budget alloc_budget.json
 package main
 
 import (
@@ -45,19 +61,10 @@ type Comparison struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// ShardPoint is one shard count of a sharded-step benchmark group.
-type ShardPoint struct {
-	Shards     int     `json:"shards"`
-	NsPerCycle float64 `json:"ns_per_cycle"`
-	// SpeedupVsSerial is the shards=1 wall-clock per simulated cycle
-	// divided by this point's: >1 means the sharded run is faster.
-	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
-}
-
 // BusyCyclePoint pairs one hot benchmark's headline metrics in this run
 // against the previous recorded run: the busy-cycle cost before and
-// after whatever the commit changed. Unlike the same-binary ratios
-// (event_vs_dense, parallel_scaling), this is a cross-binary — possibly
+// after whatever the commit changed. Unlike the same-binary ratio
+// (event_vs_dense), this is a cross-binary — possibly
 // cross-machine — comparison, so treat the time speedup as indicative
 // and the allocation columns (which the runtime counts exactly) as the
 // hard numbers.
@@ -76,13 +83,12 @@ type BusyCyclePoint struct {
 
 // Entry is one benchmark run, keyed by the commit it measured.
 type Entry struct {
-	SHA             string                    `json:"sha,omitempty"`
-	Date            string                    `json:"date,omitempty"`
-	Benchmarks      []Benchmark               `json:"benchmarks"`
-	EventVsDense    map[string]Comparison     `json:"event_vs_dense,omitempty"`
-	ParallelScaling map[string][]ShardPoint   `json:"parallel_scaling,omitempty"`
-	BusyCycle       map[string]BusyCyclePoint `json:"busy_cycle,omitempty"`
-	Notes           []string                  `json:"notes,omitempty"`
+	SHA          string                    `json:"sha,omitempty"`
+	Date         string                    `json:"date,omitempty"`
+	Benchmarks   []Benchmark               `json:"benchmarks"`
+	EventVsDense map[string]Comparison     `json:"event_vs_dense,omitempty"`
+	BusyCycle    map[string]BusyCyclePoint `json:"busy_cycle,omitempty"`
+	Notes        []string                  `json:"notes,omitempty"`
 }
 
 // Output is the BENCH_noc.json document: every recorded run, oldest
@@ -103,12 +109,24 @@ func main() {
 	out := flag.String("out", "", "output file (default stdout); an existing history there is kept and appended to")
 	sha := flag.String("sha", "", "git commit the run measured (history key)")
 	date := flag.String("date", "", "run date, YYYY-MM-DD")
+	budget := flag.String("budget", "", "check allocs/op against this budget file (alloc_budget.json) instead of writing JSON")
 	flag.Parse()
 
 	entry, err := parse(os.Stdin)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
+	}
+	if *budget != "" {
+		data, err := os.ReadFile(*budget)
+		if err == nil {
+			err = checkBudget(data, entry, os.Stdout)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		return
 	}
 	entry.SHA = *sha
 	entry.Date = *date
@@ -284,7 +302,6 @@ func parse(r io.Reader) (*Entry, error) {
 		return nil, err
 	}
 	e.EventVsDense = compare(e.Benchmarks)
-	e.ParallelScaling = compareShards(e.Benchmarks)
 	return e, nil
 }
 
@@ -332,46 +349,51 @@ func compare(bs []Benchmark) map[string]Comparison {
 	return out
 }
 
-// compareShards groups ".../shards=N" variants by parent name and
-// computes each shard count's speedup over that parent's shards=1 run.
-// Groups without a shards=1 baseline are dropped.
-func compareShards(bs []Benchmark) map[string][]ShardPoint {
-	groups := map[string][]ShardPoint{}
-	for _, b := range bs {
-		i := strings.LastIndexByte(b.Name, '/')
-		if i < 0 || !strings.HasPrefix(b.Name[i+1:], "shards=") {
-			continue
-		}
-		n, err := strconv.Atoi(b.Name[i+1+len("shards="):])
-		if err != nil || n <= 0 {
-			continue
-		}
-		v, ok := b.Metrics["ns/cycle"]
-		if !ok || v <= 0 {
-			continue
-		}
-		parent := b.Name[:i]
-		groups[parent] = append(groups[parent], ShardPoint{Shards: n, NsPerCycle: v})
+// budgetFile is the alloc_budget.json schema: benchmark name (with
+// sub-benchmark path, without the -GOMAXPROCS suffix) to the maximum
+// permitted allocs/op.
+type budgetFile struct {
+	Comment string             `json:"comment,omitempty"`
+	Budgets map[string]float64 `json:"budgets"`
+}
+
+// checkBudget checks e's allocs/op against the budget document and
+// reports every violation, in name order, not just the first.
+// Benchmarks without an allocs/op column count as missing.
+func checkBudget(budget []byte, e *Entry, out io.Writer) error {
+	var bf budgetFile
+	if err := json.Unmarshal(budget, &bf); err != nil {
+		return fmt.Errorf("budget file: %w", err)
 	}
-	out := map[string][]ShardPoint{}
-	for parent, pts := range groups {
-		var serial float64
-		for _, p := range pts {
-			if p.Shards == 1 {
-				serial = p.NsPerCycle
-			}
-		}
-		if serial <= 0 {
-			continue
-		}
-		sort.Slice(pts, func(i, j int) bool { return pts[i].Shards < pts[j].Shards })
-		for i := range pts {
-			pts[i].SpeedupVsSerial = serial / pts[i].NsPerCycle
-		}
-		out[parent] = pts
+	if len(bf.Budgets) == 0 {
+		return fmt.Errorf("budget file defines no budgets")
 	}
-	if len(out) == 0 {
-		return nil
+	got := map[string]float64{}
+	for _, b := range e.Benchmarks {
+		if v, ok := b.Metrics["allocs/op"]; ok {
+			got[b.Name] = v
+		}
 	}
-	return out
+	names := make([]string, 0, len(bf.Budgets))
+	for name := range bf.Budgets {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var failures []string
+	for _, name := range names {
+		max := bf.Budgets[name]
+		v, ok := got[name]
+		switch {
+		case !ok:
+			failures = append(failures, fmt.Sprintf("%s: budgeted benchmark missing from input (renamed or not run?)", name))
+		case v > max:
+			failures = append(failures, fmt.Sprintf("%s: %.0f allocs/op exceeds budget %.0f", name, v, max))
+		default:
+			fmt.Fprintf(out, "benchjson: %s: %.0f allocs/op within budget %.0f\n", name, v, max)
+		}
+	}
+	if len(failures) > 0 {
+		return fmt.Errorf("allocation budget exceeded:\n  %s", strings.Join(failures, "\n  "))
+	}
+	return nil
 }

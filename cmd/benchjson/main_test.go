@@ -59,39 +59,6 @@ func TestParse(t *testing.T) {
 		// must reflect it rather than clamp.
 		t.Errorf("Saturation speedup = %v, want <1", sat.Speedup)
 	}
-	if doc.ParallelScaling != nil {
-		t.Errorf("no shards=N variants, yet ParallelScaling = %v", doc.ParallelScaling)
-	}
-}
-
-const shardedSample = `BenchmarkStepSharded/MidLoad/shards=1-8 	       1	 9000000000 ns/op	  22500000 ns/cycle	        44 cycles/sec
-BenchmarkStepSharded/MidLoad/shards=2-8 	       1	 8000000000 ns/op	  20000000 ns/cycle	        50 cycles/sec
-BenchmarkStepSharded/MidLoad/shards=8-8 	       1	12000000000 ns/op	  30000000 ns/cycle	        33 cycles/sec
-BenchmarkStepSharded/NoBase/shards=4-8  	       1	 1000000000 ns/op	   2500000 ns/cycle	       400 cycles/sec
-PASS
-`
-
-func TestParseShardScaling(t *testing.T) {
-	doc, err := parse(strings.NewReader(shardedSample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.ParallelScaling) != 1 {
-		t.Fatalf("ParallelScaling groups = %v, want only the group with a shards=1 baseline", doc.ParallelScaling)
-	}
-	pts := doc.ParallelScaling["BenchmarkStepSharded/MidLoad"]
-	if len(pts) != 3 {
-		t.Fatalf("MidLoad points = %+v, want 3", pts)
-	}
-	for i, want := range []ShardPoint{
-		{Shards: 1, NsPerCycle: 22500000, SpeedupVsSerial: 1},
-		{Shards: 2, NsPerCycle: 20000000, SpeedupVsSerial: 1.125},
-		{Shards: 8, NsPerCycle: 30000000, SpeedupVsSerial: 0.75},
-	} {
-		if pts[i] != want {
-			t.Errorf("point %d = %+v, want %+v", i, pts[i], want)
-		}
-	}
 }
 
 func TestParseIgnoresGarbage(t *testing.T) {
@@ -215,7 +182,8 @@ func TestMergeComputesBusyCycle(t *testing.T) {
 
 // Merging into the committed BENCH_noc.json must leave every prior
 // entry byte for byte as it was, including sections this version no
-// longer derives (the recorded fast_vs_exact comparisons).
+// longer derives (the recorded fast_vs_exact and parallel_scaling
+// comparisons).
 func TestMergeKeepsCommittedHistory(t *testing.T) {
 	prev, err := os.ReadFile("../../BENCH_noc.json")
 	if err != nil {
@@ -225,8 +193,10 @@ func TestMergeKeepsCommittedHistory(t *testing.T) {
 	if err := json.Unmarshal(prev, &before); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(prev, []byte(`"fast_vs_exact"`)) {
-		t.Fatal("committed history lost its fast_vs_exact sections")
+	for _, section := range []string{`"fast_vs_exact"`, `"parallel_scaling"`} {
+		if !bytes.Contains(prev, []byte(section)) {
+			t.Fatalf("committed history lost its %s sections", section)
+		}
 	}
 	entry, err := parse(strings.NewReader(sample))
 	if err != nil {
@@ -264,5 +234,87 @@ func TestMergeKeepsCommittedHistory(t *testing.T) {
 func TestMergeRejectsCorruptPrev(t *testing.T) {
 	if _, err := merge([]byte("{not json"), Entry{}); err == nil {
 		t.Fatal("corrupt previous file accepted")
+	}
+}
+
+// allocSample is `go test -benchmem` output as the CI alloc step sees it.
+const allocSample = `goos: linux
+goarch: amd64
+BenchmarkStep/MidLoad/event-8         	      10	  52269863 ns/op	     95657 cycles/sec	     10454 ns/cycle	 1161164 B/op	      34 allocs/op
+BenchmarkStep/MidLoad/dense-8         	      10	  49759290 ns/op	    100484 cycles/sec	      9952 ns/cycle	 1161062 B/op	      36 allocs/op
+BenchmarkStepAllocs-8                 	       1	 103049153 ns/op	         0 allocs/cycle
+PASS
+`
+
+// TestBudget pins the allocation gate: every budgeted benchmark must be
+// present (names match after the -GOMAXPROCS suffix is stripped) and
+// within its ceiling, every violation is reported in name order, and a
+// budget file that defines nothing is itself an error.
+func TestBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		budget  string
+		wantErr []string // substrings of the error, in order; nil means pass
+		wantOut string   // substring of the report on success
+	}{
+		{
+			name:    "within budget passes",
+			budget:  `{"budgets":{"BenchmarkStep/MidLoad/event":120,"BenchmarkStep/MidLoad/dense":120}}`,
+			wantOut: "BenchmarkStep/MidLoad/event: 34 allocs/op within budget 120",
+		},
+		{
+			name:    "exceeded budget fails",
+			budget:  `{"budgets":{"BenchmarkStep/MidLoad/event":30,"BenchmarkStep/MidLoad/dense":30}}`,
+			wantErr: []string{"dense: 36 allocs/op exceeds budget 30", "event: 34 allocs/op exceeds budget 30"},
+		},
+		{
+			name:    "missing benchmark fails",
+			budget:  `{"budgets":{"BenchmarkStep/Saturation/event":150}}`,
+			wantErr: []string{"BenchmarkStep/Saturation/event: budgeted benchmark missing from input"},
+		},
+		{
+			name:    "no allocs column counts as missing",
+			budget:  `{"budgets":{"BenchmarkStepAllocs":1}}`,
+			wantErr: []string{"BenchmarkStepAllocs: budgeted benchmark missing from input"},
+		},
+		{
+			name:    "empty budget rejected",
+			budget:  `{}`,
+			wantErr: []string{"defines no budgets"},
+		},
+		{
+			name:    "corrupt budget rejected",
+			budget:  `not json`,
+			wantErr: []string{"budget file"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := parse(strings.NewReader(allocSample))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out strings.Builder
+			err = checkBudget([]byte(tc.budget), e, &out)
+			if tc.wantErr == nil {
+				if err != nil {
+					t.Fatalf("gate failed: %v", err)
+				}
+				if !strings.Contains(out.String(), tc.wantOut) {
+					t.Errorf("report %q lacks %q", out.String(), tc.wantOut)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("gate passed")
+			}
+			msg, at := err.Error(), 0
+			for _, want := range tc.wantErr {
+				i := strings.Index(msg[at:], want)
+				if i < 0 {
+					t.Fatalf("error %q lacks %q (in order)", msg, want)
+				}
+				at += i + len(want)
+			}
+		})
 	}
 }

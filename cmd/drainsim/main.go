@@ -39,7 +39,6 @@ func main() {
 	maxCycles := flag.Int64("max-cycles", 5_000_000, "cycle budget for -workload runs")
 	tracePath := flag.String("trace", "", "write a per-packet CSV trace to this file")
 	sweep := flag.String("sweep", "", "comma-separated offered loads for a latency/throughput sweep (overrides -rate)")
-	shards := flag.Int("shards", 0, "run the sharded parallel engine with this many shards (0 = serial event engine; results are identical for any value)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -87,7 +86,6 @@ func main() {
 		Width: w, Height: h,
 		Faults: *faults, FaultSeed: *faultSeed,
 		Scheme: sch, Epoch: *epoch, Seed: *seed,
-		Shards:        *shards,
 		FaultSchedule: sched,
 	}
 	if *wl != "" {

@@ -1,7 +1,7 @@
 // Command drainvet runs the simulator's custom static analysis (see
-// internal/lint): eight analyzers that enforce the determinism,
-// hot-path allocation, cancellation, parallel-engine and cache-key
-// invariants the DRAIN evaluation depends on. It is wired into
+// internal/lint): six analyzers that enforce the determinism,
+// hot-path allocation, cancellation and cache-key invariants the DRAIN
+// evaluation depends on. It is wired into
 // `make check` and CI; a finding fails the build.
 //
 // Usage:

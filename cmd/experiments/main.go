@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"drain/internal/experiments"
-	"drain/internal/sim"
 )
 
 // main defers to run so the profile-flushing defers fire before the
@@ -40,7 +39,6 @@ func run() int {
 	out := flag.String("out", "", "directory to write per-figure markdown files (optional)")
 	jsonOut := flag.String("json", "", "also write machine-readable results to this JSON file")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for independent simulation runs (result tables are identical for any value)")
-	shards := flag.Int("shards", 0, "intra-run parallelism: shard every simulation's network across this many workers (0 = serial; result tables are identical for any value)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	list := flag.Bool("list", false, "list available experiments and exit")
@@ -54,7 +52,6 @@ func run() int {
 	}
 
 	experiments.SetParallelism(*parallel)
-	sim.SetDefaultShards(*shards)
 
 	// Ctrl-C / SIGTERM cancels the in-flight sweep: the context reaches
 	// every simulation step loop, so long full-scale runs stop within

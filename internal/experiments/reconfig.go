@@ -104,7 +104,6 @@ func reconfig(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
 		if err != nil {
 			return err
 		}
-		defer r.Close()
 		pat := traffic.UniformRandom{N: g.N()}
 		// Four back-to-back measurement windows over one live network;
 		// the runner keeps its clock, so the absolute schedule cycles

@@ -10,8 +10,6 @@ const (
 	dirHotpath        = "hotpath"
 	dirColdpath       = "coldpath"
 	dirCtxcarrier     = "ctxcarrier"
-	dirParallelphase  = "parallelphase"
-	dirStaged         = "staged"
 	dirCachekeyExempt = "cachekey-exempt"
 )
 
@@ -20,8 +18,7 @@ const (
 // census (TestDirectiveCensus) and the docs all derive from this one
 // list, so a new directive cannot be added without showing up in each.
 var DirectiveKinds = []string{
-	dirHotpath, dirColdpath, dirCtxcarrier,
-	dirParallelphase, dirStaged, dirCachekeyExempt,
+	dirHotpath, dirColdpath, dirCtxcarrier, dirCachekeyExempt,
 }
 
 const dirPrefix = "//drain:"
@@ -116,18 +113,6 @@ func (p *Package) funcHas(d fileDirectives, fn *ast.FuncDecl, kind string) bool 
 		start = p.Fset.Position(fn.Doc.Pos()).Line
 	}
 	return d.hasInRange(kind, start, p.Fset.Position(fn.Name.Pos()).Line)
-}
-
-// typeHas reports whether the type declaration carries the directive
-// anywhere in its doc comment block or on its name line.
-func (p *Package) typeHas(d fileDirectives, gd *ast.GenDecl, ts *ast.TypeSpec, kind string) bool {
-	start := p.Fset.Position(ts.Pos()).Line
-	if ts.Doc != nil {
-		start = p.Fset.Position(ts.Doc.Pos()).Line
-	} else if gd != nil && gd.Doc != nil && len(gd.Specs) == 1 {
-		start = p.Fset.Position(gd.Doc.Pos()).Line
-	}
-	return d.hasInRange(kind, start, p.Fset.Position(ts.Name.Pos()).Line)
 }
 
 // fieldHas reports whether a struct field carries the directive in its

@@ -15,7 +15,7 @@ import (
 // either it is serialized into the preimage (it changes what a run
 // computes) or it is excluded with `json:"-"` AND carries a reasoned
 // //drain:cachekey-exempt directive (it changes only how fast the run
-// computes, like the shard count). The analyzer enforces:
+// computes, like a prebuilt routing table). The analyzer enforces:
 //
 //   - Config.KeyStructs (sim.Params, server.canonical): an exported
 //     field without a `json:"-"` tag is in-key — fine. A `json:"-"`

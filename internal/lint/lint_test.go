@@ -2,6 +2,8 @@ package lint
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
 	"regexp"
 	"strconv"
 	"strings"
@@ -37,16 +39,13 @@ func TestFixtures(t *testing.T) {
 			}
 			cfg := DefaultConfig()
 			// Fixtures are not in the production deterministic set; put
-			// them in scope explicitly. Hot roots come from //drain:hotpath
-			// and parallel-phase roots from //drain:parallelphase, so those
-			// analyzers self-root; the struct- and primitive-matching
-			// configs must point at fixture declarations instead.
+			// them in scope explicitly. Hot roots come from //drain:hotpath,
+			// so those analyzers self-root; the struct-matching configs
+			// must point at fixture declarations instead.
 			cfg.DeterministicPkgs = []string{dir + "/a"}
 			switch a.Name {
 			case "hotalloc":
 				cfg.PooledTypes = []string{"a.token"}
-			case "serialrng":
-				cfg.RNGDrawFuncs = []string{"a.gen.draw"}
 			case "keycomplete":
 				cfg.KeyStructs = []string{"a.Params"}
 				cfg.RequestStructs = []string{"a.Request"}
@@ -142,5 +141,24 @@ func TestDirectiveValidation(t *testing.T) {
 	}
 	if !sawBare {
 		t.Error("bare //drain:coldpath directive was not reported")
+	}
+}
+
+// TestRetiredDirectivesAreUnknown: staged and parallelphase are not
+// directive kinds, so a leftover one is an unknown-directive finding
+// rather than a silent no-op.
+func TestRetiredDirectivesAreUnknown(t *testing.T) {
+	for _, kind := range []string{"staged", "parallelphase"} {
+		src := "package a\n\n" + dirPrefix + kind + " leftover claim\ntype T struct{}\n"
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, "a.go", src, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &Package{Fset: fset}
+		_, bad := p.parseDirectives(f)
+		if len(bad) != 1 || !strings.Contains(bad[0].Message, "unknown directive") {
+			t.Errorf("%s%s: findings %v, want one unknown-directive finding", dirPrefix, kind, bad)
+		}
 	}
 }

@@ -14,11 +14,11 @@ type Params struct {
 	Width int   `json:"width"` // ok: serialized, in-key
 	Seed  int64 `json:"seed"`  // ok: serialized, in-key
 
-	// Shards only changes how fast a run computes, never what it
+	// Workers only changes how fast a run computes, never what it
 	// computes, so it is deliberately outside the key.
 	//
-	//drain:cachekey-exempt fixture: execution speed knob; results are byte-identical at every shard count
-	Shards int `json:"-"` // ok: excluded with a reasoned directive
+	//drain:cachekey-exempt fixture: execution speed knob; results are byte-identical at every worker count
+	Workers int `json:"-"` // ok: excluded with a reasoned directive
 
 	// Epoch claims exemption but is serialized anyway: a stale directive.
 	//

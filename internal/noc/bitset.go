@@ -16,11 +16,9 @@ import "math/bits"
 // scanning them. That is the per-router idle-skipping worklist: on a
 // 64x64 mesh a mostly-idle engine touches only the summary word plus
 // the few words that actually hold active routers. Small domains
-// (len(words) == 1, e.g. an 8x8 mesh or one shard's slice of it) keep
+// (len(words) == 1, e.g. an 8x8 mesh) keep
 // sum nil and fall back to the dense single-word scan — the structural
 // "density threshold": a one-word domain is its own summary.
-//
-//drain:staged every parallel-phase bitset is a per-shard instance (parShard.alloc/inj) in which only bits of the shard's own [lo,hi) router range are ever set or cleared (shardsafe)
 type bitset struct {
 	words []uint64
 	sum   []uint64 // summary: bit w set iff words[w] != 0; nil when len(words) < 2

@@ -83,34 +83,18 @@ type Config struct {
 
 	// Engine selects the cycle-core implementation. The zero value is
 	// EngineEvent (activity bitmaps + timing wheel + idle fast-forward);
-	// EngineDense keeps the exhaustive per-cycle rescans; EngineParallel
-	// shards the cycle phases across a worker pool. All three are
+	// EngineDense keeps the exhaustive per-cycle rescans. The two are
 	// byte-identical — same RNG draw sequence, same counters, same
 	// results — differing only in speed; see DESIGN.md §"Event-driven
-	// core", §"Sharded parallel engine" and FuzzDenseVsEvent.
+	// core" and FuzzDenseVsEvent.
 	Engine EngineKind
-
-	// Shards is the number of router shards (and so the worker-pool
-	// fan-out) of EngineParallel; other engines ignore it. Values above
-	// the router count are clamped; <= 0 defaults to 1. Results are
-	// byte-identical for every value.
-	Shards int
-
-	// ParallelInline tunes EngineParallel's inline fast path: cycles
-	// whose active-work estimate (landing flights + active routers) is
-	// below the threshold run serially on the stepping goroutine,
-	// skipping the barrier overhead. 0 means the built-in default;
-	// negative disables the fast path so every cycle exercises the
-	// phased machinery (tests use this). Results are identical either
-	// way — the threshold is a pure function of simulation state.
-	ParallelInline int
 
 	// Table optionally supplies a prebuilt routing table for Graph/Mesh
 	// (from routing.NewTable over exactly this Graph). Tables are
 	// immutable and safely shared between networks; at thousands of
 	// routers their construction dominates Network setup, so callers
 	// building several networks over one topology (engine differentials,
-	// the sharded-step benchmarks) should build the table once. Nil
+	// the large-mesh step benchmarks) should build the table once. Nil
 	// builds a fresh one.
 	Table *routing.Table
 }
@@ -146,9 +130,6 @@ func (c *Config) Validate() error {
 	}
 	if c.InjectPatience == 0 {
 		c.InjectPatience = 512
-	}
-	if c.Engine == EngineParallel && c.Shards <= 0 {
-		c.Shards = 1
 	}
 	if c.Routing == routing.XY && c.Mesh == nil {
 		return fmt.Errorf("noc: XY routing requires Config.Mesh")

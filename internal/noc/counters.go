@@ -2,8 +2,6 @@ package noc
 
 // Counters aggregates the microarchitectural event counts the power model
 // consumes (internal/power) and the simulator reports.
-//
-//drain:staged parallel phases accumulate into their shard's private delta instance (parShard.ctr), absorbed serially in ascending shard order; the delta's aliased vnRouterLastActive rows are router-partitioned, so concurrent shard writes never touch the same entry (shardsafe)
 type Counters struct {
 	Created    int64 // packets entering injection queues
 	Injected   int64 // packets leaving injection queues into VCs
@@ -32,7 +30,7 @@ type Counters struct {
 	// delivered packets drained by DiscardEjected or released by a
 	// consumer, failed injections handed back by the driver, and
 	// fault-dropped packets. It is bookkeeping for the pool-safety
-	// invariant, not a network event: no parallel phase touches it.
+	// invariant, not a network event.
 	Recycled int64
 
 	// Per-virtual-network activity, for the Fig. 4 active/wasted power
@@ -52,78 +50,5 @@ func (c *Counters) noteVNActivity(vn, router int, cycle, flits int64) {
 	if c.vnRouterLastActive[vn][router] != cycle {
 		c.vnRouterLastActive[vn][router] = cycle
 		c.VNActiveRouterCycles[vn]++
-	}
-}
-
-// newShardDelta returns a Counters for per-shard accumulation by the
-// parallel engine: fresh VN sums, but vnRouterLastActive aliasing the
-// authoritative table so noteVNActivity's per-(vn,router,cycle) dedup is
-// against global state. Router rows are shard-exclusive during parallel
-// phases, so the aliased writes never race.
-//
-//drain:coldpath one-time lazy shard setup on the first Step; steady-state cycles only absorb
-func (c *Counters) newShardDelta(vnets int) Counters {
-	return Counters{
-		VNFlits:              make([]int64, vnets),
-		VNActiveRouterCycles: make([]int64, vnets),
-		vnRouterLastActive:   c.vnRouterLastActive,
-	}
-}
-
-// absorb adds d's event counts into c and zeroes them in d. The
-// parallel engine absorbs per-shard deltas in ascending shard order;
-// every field is an order-independent sum, so the result is
-// byte-identical to serial accumulation. d's vnRouterLastActive is left
-// alone (it aliases c's; see newShardDelta).
-func (c *Counters) absorb(d *Counters) {
-	c.Created += d.Created
-	c.Injected += d.Injected
-	c.Ejected += d.Ejected
-	c.Hops += d.Hops
-	c.LinkFlits += d.LinkFlits
-	c.BufWrites += d.BufWrites
-	c.BufReads += d.BufReads
-	c.XbarFlits += d.XbarFlits
-	c.VCAllocs += d.VCAllocs
-	c.SWAllocs += d.SWAllocs
-	c.Misroutes += d.Misroutes
-	c.DrainMoves += d.DrainMoves
-	c.SpinMoves += d.SpinMoves
-	c.Probes += d.Probes
-	c.Drains += d.Drains
-	c.FullDrains += d.FullDrains
-	c.FrozenCyc += d.FrozenCyc
-	c.Reconfigs += d.Reconfigs
-	c.FaultReroutes += d.FaultReroutes
-	c.FaultDrops += d.FaultDrops
-	c.Recycled += d.Recycled
-	d.Created = 0
-	d.Injected = 0
-	d.Ejected = 0
-	d.Hops = 0
-	d.LinkFlits = 0
-	d.BufWrites = 0
-	d.BufReads = 0
-	d.XbarFlits = 0
-	d.VCAllocs = 0
-	d.SWAllocs = 0
-	d.Misroutes = 0
-	d.DrainMoves = 0
-	d.SpinMoves = 0
-	d.Probes = 0
-	d.Drains = 0
-	d.FullDrains = 0
-	d.FrozenCyc = 0
-	d.Reconfigs = 0
-	d.FaultReroutes = 0
-	d.FaultDrops = 0
-	d.Recycled = 0
-	for i := range d.VNFlits {
-		c.VNFlits[i] += d.VNFlits[i]
-		d.VNFlits[i] = 0
-	}
-	for i := range d.VNActiveRouterCycles {
-		c.VNActiveRouterCycles[i] += d.VNActiveRouterCycles[i]
-		d.VNActiveRouterCycles[i] = 0
 	}
 }

@@ -91,6 +91,3 @@ func (d *denseEngine) skipIdle(_ *Network, _ int64) {
 
 // check has nothing beyond the shared CheckInvariants scans.
 func (d *denseEngine) check(_ *Network) error { return nil }
-
-// stop is a no-op: the dense engine owns no resources.
-func (d *denseEngine) stop() {}

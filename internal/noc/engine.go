@@ -14,14 +14,6 @@ const (
 	// injection queues. Kept behind the engine seam as the differential
 	// oracle for the event core (see FuzzDenseVsEvent).
 	EngineDense
-	// EngineParallel is the sharded cycle core: routers are partitioned
-	// into Config.Shards contiguous shards and each cycle's phases
-	// (arrival, allocation planning, injection) run on a fixed worker
-	// pool with per-phase barriers, while every randomized decision
-	// commits serially in ascending router order. Byte-identical to the
-	// other engines for every shard count — see DESIGN.md §"Sharded
-	// parallel engine".
-	EngineParallel
 )
 
 // String implements fmt.Stringer (benchmark sub-names use it).
@@ -29,8 +21,6 @@ func (k EngineKind) String() string {
 	switch k {
 	case EngineDense:
 		return "dense"
-	case EngineParallel:
-		return "parallel"
 	}
 	return "event"
 }
@@ -84,10 +74,6 @@ type engine interface {
 	// check validates engine-internal invariants against a full scan of
 	// the network state (tests only).
 	check(n *Network) error
-	// stop releases engine-owned resources (the parallel engine's worker
-	// goroutines); idempotent, no-op for the other engines. A stopped
-	// parallel engine keeps working through its inline serial path.
-	stop()
 }
 
 // newEngine constructs the engine selected by cfg.Engine.
@@ -95,8 +81,6 @@ func newEngine(cfg *Config) engine {
 	switch cfg.Engine {
 	case EngineDense:
 		return &denseEngine{}
-	case EngineParallel:
-		return newParallelEngine(cfg)
 	}
 	return newEventEngine(cfg)
 }

@@ -2,7 +2,6 @@ package noc
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
@@ -14,24 +13,16 @@ import (
 	"drain/internal/topology"
 )
 
-// flagShards pins the parallel network's shard count in the lockstep
-// checks (the CI engine-matrix job sets it); zero keeps the per-seed
-// rotation through {1, 2, 3, 8}.
-var flagShards = flag.Int("drain.shards", 0, "restrict parallel-engine lockstep checks to this shard count (0 = derive from seed)")
-
 // checkDenseVsEvent is the byte-identity net over the engine seam: a
-// dense-engine, an event-engine, and a parallel-engine network built
-// from the same config are driven with identical external actions
+// dense-engine and an event-engine network built from the same config
+// are driven with identical external actions
 // (injections, freezes, drain rotations, idle fast-forwards) and must
 // remain in lockstep — same cycle, same buffer contents, same ejection
 // order, same counters, and the same RNG stream position at the end.
 // Any divergence means an engine visited a router the dense stepper
 // would not have (or vice versa) in a way that changed an arbitration
-// draw. The parallel shard count and inline threshold derive from the
-// same raw inputs (so the fuzz corpus keeps its meaning): shards cycle
-// through {1,2,3,8} and half the runs force the phased barrier
-// pipeline even at tiny sizes (ParallelInline < 0). Same contract as
-// checkConservation: nil, errSkip, or a descriptive property violation.
+// draw. Same contract as checkConservation: nil, errSkip, or a
+// descriptive property violation.
 func checkDenseVsEvent(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) error {
 	rng := rand.New(rand.NewPCG(seed, seed^0xd1ff))
 	nNodes := int(nRaw%12) + 4
@@ -51,17 +42,9 @@ func checkDenseVsEvent(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) error {
 		cfg.EscapeRouting = routing.AdaptiveMinimal
 		cfg.NonStickyEscape = escRaw%4 == 0
 	}
-	cfgDense, cfgEvent, cfgPar := cfg, cfg, cfg
+	cfgDense, cfgEvent := cfg, cfg
 	cfgDense.Engine = EngineDense
 	cfgEvent.Engine = EngineEvent
-	cfgPar.Engine = EngineParallel
-	cfgPar.Shards = []int{1, 2, 3, 8}[(seed>>3)%4]
-	if *flagShards > 0 {
-		cfgPar.Shards = *flagShards
-	}
-	if seed&1 == 0 {
-		cfgPar.ParallelInline = -1 // force the phased pipeline
-	}
 	de, err := New(cfgDense)
 	if err != nil {
 		return errSkip
@@ -70,11 +53,6 @@ func checkDenseVsEvent(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) error {
 	if err != nil {
 		return errSkip
 	}
-	pa, err := New(cfgPar)
-	if err != nil {
-		return errSkip
-	}
-	defer pa.Close()
 	path, err := drainpath.FindEulerian(g)
 	if err != nil {
 		return errSkip
@@ -85,12 +63,12 @@ func checkDenseVsEvent(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) error {
 	}
 
 	// Live fault plan (3/4 of seeds): fail one removable link mid-run
-	// and restore it later. All three networks reconfigure between the
+	// and restore it later. Both networks reconfigure between the
 	// same Steps and must agree on the reconfiguration report (packets
 	// dropped and rerouted) as well as everything downstream. ">="
 	// triggers keep the plan robust to idle fast-forward jumps: a skipped
 	// exact cycle applies at the next executed iteration, identically for
-	// all three networks.
+	// both networks.
 	frng := rand.New(rand.NewPCG(seed^0xfa17, seed))
 	active := g
 	var failed topology.Edge
@@ -106,12 +84,11 @@ func checkDenseVsEvent(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) error {
 		}
 		repD, errD := de.Reconfigure(na, tab)
 		repE, errE := ev.Reconfigure(na, tab)
-		repP, errP := pa.Reconfigure(na, tab)
-		if errD != nil || errE != nil || errP != nil {
-			return fmt.Errorf("reconfigure errors: dense=%v event=%v parallel=%v", errD, errE, errP)
+		if errD != nil || errE != nil {
+			return fmt.Errorf("reconfigure errors: dense=%v event=%v", errD, errE)
 		}
-		if repD != repE || repD != repP {
-			return fmt.Errorf("reconfig reports diverge: dense=%+v event=%+v parallel=%+v", repD, repE, repP)
+		if repD != repE {
+			return fmt.Errorf("reconfig reports diverge: dense=%+v event=%+v", repD, repE)
 		}
 		active, next = na, nx
 		return nil
@@ -127,9 +104,8 @@ func checkDenseVsEvent(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) error {
 				flits := 1 + rng.IntN(5)
 				okD := de.Inject(de.NewPacket(src, dst, class, flits))
 				okE := ev.Inject(ev.NewPacket(src, dst, class, flits))
-				okP := pa.Inject(pa.NewPacket(src, dst, class, flits))
-				if okD != okE || okD != okP {
-					return fmt.Errorf("cycle %d: inject accepted dense=%v event=%v parallel=%v", cyc, okD, okE, okP)
+				if okD != okE {
+					return fmt.Errorf("cycle %d: inject accepted dense=%v event=%v", cyc, okD, okE)
 				}
 			}
 		}
@@ -161,37 +137,33 @@ func checkDenseVsEvent(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) error {
 		if cfg.PolicyEscape && cyc%150 == 100 {
 			de.SetFrozen(true)
 			ev.SetFrozen(true)
-			pa.SetFrozen(true)
 		}
 		de.Step()
 		ev.Step()
-		pa.Step()
-		if de.Cycle() != ev.Cycle() || de.Cycle() != pa.Cycle() {
-			return fmt.Errorf("cycle %d: clocks diverge: dense=%d event=%d parallel=%d", cyc, de.Cycle(), ev.Cycle(), pa.Cycle())
+		if de.Cycle() != ev.Cycle() {
+			return fmt.Errorf("cycle %d: clocks diverge: dense=%d event=%d", cyc, de.Cycle(), ev.Cycle())
 		}
-		if de.InflightCount() != ev.InflightCount() || de.InflightCount() != pa.InflightCount() {
-			return fmt.Errorf("cycle %d: inflight transfers diverge: dense=%d event=%d parallel=%d", cyc, de.InflightCount(), ev.InflightCount(), pa.InflightCount())
+		if de.InflightCount() != ev.InflightCount() {
+			return fmt.Errorf("cycle %d: inflight transfers diverge: dense=%d event=%d", cyc, de.InflightCount(), ev.InflightCount())
 		}
-		if de.InFlightPackets() != ev.InFlightPackets() || de.InFlightPackets() != pa.InFlightPackets() {
-			return fmt.Errorf("cycle %d: in-system packets diverge: dense=%d event=%d parallel=%d", cyc, de.InFlightPackets(), ev.InFlightPackets(), pa.InFlightPackets())
+		if de.InFlightPackets() != ev.InFlightPackets() {
+			return fmt.Errorf("cycle %d: in-system packets diverge: dense=%d event=%d", cyc, de.InFlightPackets(), ev.InFlightPackets())
 		}
 		if cfg.PolicyEscape && cyc%150 == 110 && de.InflightCount() == 0 {
-			if err := rotateAll(de, ev, pa, next); err != nil {
+			if err := rotateBoth(de, ev, next); err != nil {
 				return fmt.Errorf("cycle %d: %w", cyc, err)
 			}
 			de.SetFrozen(false)
 			ev.SetFrozen(false)
-			pa.SetFrozen(false)
 		}
 		if cfg.PolicyEscape && cyc%150 == 130 && de.Frozen() {
 			if de.InflightCount() == 0 {
-				if err := rotateAll(de, ev, pa, next); err != nil {
+				if err := rotateBoth(de, ev, next); err != nil {
 					return fmt.Errorf("cycle %d: late %w", cyc, err)
 				}
 			}
 			de.SetFrozen(false)
 			ev.SetFrozen(false)
-			pa.SetFrozen(false)
 		}
 		// Drain ejection queues in lockstep: pop order is part of the
 		// byte-identity contract (results files record it).
@@ -200,9 +172,8 @@ func checkDenseVsEvent(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) error {
 				for {
 					pd := de.PopEjected(r, c)
 					pe := ev.PopEjected(r, c)
-					pp := pa.PopEjected(r, c)
-					if (pd == nil) != (pe == nil) || (pd == nil) != (pp == nil) {
-						return fmt.Errorf("cycle %d: ejection queues (%d,%d) diverge: dense=%v event=%v parallel=%v", cyc, r, c, pd != nil, pe != nil, pp != nil)
+					if (pd == nil) != (pe == nil) {
+						return fmt.Errorf("cycle %d: ejection queues (%d,%d) diverge: dense=%v event=%v", cyc, r, c, pd != nil, pe != nil)
 					}
 					if pd == nil {
 						break
@@ -210,10 +181,6 @@ func checkDenseVsEvent(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) error {
 					if pd.ID != pe.ID || pd.Dst != pe.Dst || pd.Hops != pe.Hops || pd.EjectedAt != pe.EjectedAt {
 						return fmt.Errorf("cycle %d: ejected packet diverges: dense={id %d dst %d hops %d at %d} event={id %d dst %d hops %d at %d}",
 							cyc, pd.ID, pd.Dst, pd.Hops, pd.EjectedAt, pe.ID, pe.Dst, pe.Hops, pe.EjectedAt)
-					}
-					if pd.ID != pp.ID || pd.Dst != pp.Dst || pd.Hops != pp.Hops || pd.EjectedAt != pp.EjectedAt {
-						return fmt.Errorf("cycle %d: ejected packet diverges: dense={id %d dst %d hops %d at %d} parallel={id %d dst %d hops %d at %d}",
-							cyc, pd.ID, pd.Dst, pd.Hops, pd.EjectedAt, pp.ID, pp.Dst, pp.Hops, pp.EjectedAt)
 					}
 				}
 			}
@@ -225,14 +192,8 @@ func checkDenseVsEvent(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) error {
 			if err := ev.CheckInvariants(); err != nil {
 				return fmt.Errorf("cycle %d: event: %w", cyc, err)
 			}
-			if err := pa.CheckInvariants(); err != nil {
-				return fmt.Errorf("cycle %d: parallel: %w", cyc, err)
-			}
 			if err := compareBuffers(de, ev); err != nil {
 				return fmt.Errorf("cycle %d: %w", cyc, err)
-			}
-			if err := compareBuffers(de, pa); err != nil {
-				return fmt.Errorf("cycle %d: dense vs parallel: %w", cyc, err)
 			}
 		}
 		// Once injection has stopped, exercise idle fast-forward: jump
@@ -241,25 +202,18 @@ func checkDenseVsEvent(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) error {
 		// land in the same state (the window really had no work).
 		if cyc >= horizon/2 && cyc%37 == 3 && !ev.Frozen() {
 			if u := ev.NextWorkCycle(); u > ev.Cycle()+1 {
-				if up := pa.NextWorkCycle(); up != u {
-					return fmt.Errorf("cycle %d: next-work cycles diverge: event=%d parallel=%d", cyc, u, up)
-				}
 				w := u - ev.Cycle() - 1
 				if rem := horizon - 1 - cyc; w > rem {
 					w = rem
 				}
 				if w > 0 {
 					ev.SkipIdle(w)
-					pa.SkipIdle(w)
 					for i := int64(0); i < w; i++ {
 						de.Step()
 					}
 					cyc += w
 					if err := compareBuffers(de, ev); err != nil {
 						return fmt.Errorf("cycle %d: after %d-cycle fast-forward: %w", cyc, w, err)
-					}
-					if err := compareBuffers(de, pa); err != nil {
-						return fmt.Errorf("cycle %d: dense vs parallel after %d-cycle fast-forward: %w", cyc, w, err)
 					}
 				}
 			}
@@ -268,32 +222,27 @@ func checkDenseVsEvent(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) error {
 	if !reflect.DeepEqual(de.Counters, ev.Counters) {
 		return fmt.Errorf("counters diverge:\ndense: %+v\nevent: %+v", de.Counters, ev.Counters)
 	}
-	if !reflect.DeepEqual(de.Counters, pa.Counters) {
-		return fmt.Errorf("counters diverge (shards=%d inline=%d):\ndense:    %+v\nparallel: %+v", cfgPar.Shards, cfgPar.ParallelInline, de.Counters, pa.Counters)
-	}
 	// Equal stream position means every arbitration drew the same number
 	// of values in the same order; probe one draw from each.
-	d, e, p := de.rng.Uint64(), ev.rng.Uint64(), pa.rng.Uint64()
-	if d != e || d != p {
-		return fmt.Errorf("rng streams diverge after run: dense=%#x event=%#x parallel=%#x", d, e, p)
+	if d, e := de.rng.Uint64(), ev.rng.Uint64(); d != e {
+		return fmt.Errorf("rng streams diverge after run: dense=%#x event=%#x", d, e)
 	}
 	return nil
 }
 
-// rotateAll applies the same drain rotation to all three networks and
+// rotateBoth applies the same drain rotation to both networks and
 // requires them to agree on its outcome.
-func rotateAll(de, ev, pa *Network, next []int) error {
+func rotateBoth(de, ev *Network, next []int) error {
 	repD, errD := de.DrainRotate(next)
 	repE, errE := ev.DrainRotate(next)
-	repP, errP := pa.DrainRotate(next)
-	if (errD == nil) != (errE == nil) || (errD == nil) != (errP == nil) {
-		return fmt.Errorf("drain rotate diverges: dense err=%v event err=%v parallel err=%v", errD, errE, errP)
+	if (errD == nil) != (errE == nil) {
+		return fmt.Errorf("drain rotate diverges: dense err=%v event err=%v", errD, errE)
 	}
 	if errD != nil {
 		return fmt.Errorf("drain rotate: %w", errD)
 	}
-	if repD != repE || repD != repP {
-		return fmt.Errorf("drain rotate reports diverge: dense=%+v event=%+v parallel=%+v", repD, repE, repP)
+	if repD != repE {
+		return fmt.Errorf("drain rotate reports diverge: dense=%+v event=%+v", repD, repE)
 	}
 	return nil
 }

@@ -3,15 +3,12 @@ package noc
 import (
 	"fmt"
 	"math/rand/v2"
-	"runtime"
 
 	"drain/internal/routing"
 	"drain/internal/topology"
 )
 
 // vcSlot is one virtual-channel buffer (single packet, VCT).
-//
-//drain:staged a slot belongs to one router's input port; parallel phases write only slots of routers their shard owns — arrivals and injections by destination router, upstream frees via per-shard staging drained for the owning shard (shardsafe)
 type vcSlot struct {
 	pkt      *Packet
 	reserved bool // claimed by an in-flight transfer
@@ -83,8 +80,6 @@ type Network struct {
 	// and behavior-preserving: a router with no occupied input VC can
 	// never produce a request, so no arbitration (and no RNG draw)
 	// happens there either way.
-	//
-	//drain:staged indexed by router; each parallel phase adjusts only entries of routers its shard owns (shardsafe)
 	occIn []int32
 
 	nextID int64
@@ -97,11 +92,8 @@ type Network struct {
 	Counters Counters
 
 	// scratch buffers reused across cycles (steady-state Step performs
-	// no heap allocation; see BenchmarkStepAllocs). gs is the serial
-	// request-gathering scratch; the parallel engine's plan workers own
-	// one gatherScratch each instead. scrOpts/scrWin serve the serial
-	// arbitration paths only (the parallel engine plans into per-shard
-	// arenas and commits from them).
+	// no heap allocation; see BenchmarkStepAllocs). gs is the
+	// request-gathering scratch; scrOpts/scrWin serve arbitration.
 	gs      gatherScratch
 	scrOpts []grant
 	scrWin  []int
@@ -111,8 +103,6 @@ type Network struct {
 	// of outputs that would yield zero options (and so draw nothing).
 	// Links belong to exactly one source router, so stamps from routers
 	// sharing a cycle never collide (see noteWantOut).
-	//
-	//drain:staged indexed by link; a link belongs to exactly one source router, so plan workers stamp only links out of their own shard's routers (shardsafe)
 	wantOut []int64
 
 	// occLink[l] counts occupied VC buffers at the input port fed by link
@@ -120,10 +110,7 @@ type Network struct {
 	// router r. They let request gathering skip empty ports without
 	// scanning their slots. Invariant: occIn[r] equals occLocal[r] plus
 	// the occLink of r's inbound links (checked by CheckInvariants).
-	//
-	//drain:staged indexed by link; a link's head (buffering) router belongs to one shard, and phases adjust only links into their own routers (shardsafe)
-	occLink []int32
-	//drain:staged indexed by router; phases adjust only entries of routers their shard owns (shardsafe)
+	occLink  []int32
 	occLocal []int32
 
 	// freePkts is the packet free-list (LIFO): NewPacket pops it,
@@ -208,23 +195,7 @@ func New(cfg Config) (*Network, error) {
 		}
 		n.Counters.vnRouterLastActive[vn] = row
 	}
-	if cfg.Engine == EngineParallel {
-		// Safety net for leaked networks (e.g. the per-rate runners of a
-		// load sweep): the worker goroutines do not retain the Network, so
-		// an unreachable Network is collectable, and the finalizer stops
-		// its pool. Explicit Close remains the deterministic path.
-		runtime.SetFinalizer(n, (*Network).Close)
-	}
 	return n, nil
-}
-
-// Close releases resources owned by the cycle engine — for the parallel
-// engine, its worker goroutines. Idempotent, and a no-op for the event
-// and dense engines. The network remains usable afterwards: a stopped
-// parallel engine steps through its inline serial path, still
-// byte-identical.
-func (n *Network) Close() {
-	n.eng.stop()
 }
 
 // Config returns the network's (validated) configuration.

@@ -19,8 +19,6 @@ const LocalPort = -1
 // Packet is a network packet. With virtual cut-through and single-packet
 // VCs (Table II "Buffer Organization"), a packet is the unit of buffering
 // and Flits only determines link serialization time.
-//
-//drain:staged a packet occupies exactly one VC slot or queue cell at a time; parallel phases mutate only packets landing at or injected into the phase shard's own routers, so every write is partitioned by destination-router owner (shardsafe)
 type Packet struct {
 	ID    int64
 	Src   int

@@ -5,8 +5,6 @@ package noc
 // draining an n-packet queue O(n²) and showed up in injection-heavy runs;
 // head-index pops are O(1) and steady-state operation never allocates
 // once the ring has grown to the queue's working size.
-//
-//drain:staged queues are per (router, class); the parallel inject phase pops only queues of its shard's own routers, and pushes happen in serial contexts only (shardsafe)
 type pktQueue struct {
 	buf  []*Packet
 	head int

@@ -51,30 +51,9 @@ type grant struct {
 	setEscape  bool
 	downPhase  bool
 	productive bool
-	// cond/bubbleTo/bubbleVN support the parallel engine's deferred
-	// bubble-rule recheck (the one cross-router read during allocation;
-	// see parallel.go). Serial arbitration leaves them zero (condAlways).
-	cond     uint8
-	bubbleTo int32
-	bubbleVN int32
 }
 
-// grant.cond values: when the parallel engine plans options before the
-// serial commit, the single-VC bubble rule (routerFreeInVN) cannot be
-// evaluated yet — other routers' commits may still reserve slots at the
-// target router. The plan emits both outcomes, tagged, and the commit
-// keeps exactly the one the serial allocator would have built.
-const (
-	condAlways     uint8 = iota // valid unconditionally
-	condBubbleOK                // valid iff routerFreeInVN(bubbleTo, bubbleVN) >= 2 at commit
-	condBubbleFail              // valid iff routerFreeInVN(bubbleTo, bubbleVN) < 2 at commit
-)
-
-// gatherScratch is the per-allocator request-gathering scratch. The
-// serial engines use the Network's single instance; the parallel
-// engine's plan workers each own one so gathering can run concurrently.
-//
-//drain:staged one instance per plan worker (parShard.gs); the serial engines use the Network's own instance on the stepping goroutine (shardsafe)
+// gatherScratch is the request-gathering scratch (the Network's gs).
 type gatherScratch struct {
 	reqs []request
 	// outs collects the output links stamped via noteWantOut for the
@@ -90,10 +69,9 @@ type gatherScratch struct {
 // Step advances the network by one cycle: completes arrivals, performs
 // switch/VC allocation (unless frozen), and moves injection-queue heads
 // into free local VCs. The caller consumes ejection queues afterwards.
-// The cycle body is dispatched through the configured engine (event,
-// dense, or parallel); all drive the same mutation paths below and are
-// byte-identical — see DESIGN.md §"Event-driven core" and §"Sharded
-// parallel engine".
+// The cycle body is dispatched through the configured engine (event or
+// dense); both drive the same mutation paths below and are
+// byte-identical — see DESIGN.md §"Event-driven core".
 func (n *Network) Step() {
 	n.cycle++
 	n.noteCycles(1)
@@ -103,21 +81,18 @@ func (n *Network) Step() {
 // land applies the effects of a completed transfer.
 func (n *Network) land(f flight) {
 	p := f.pkt
-	n.freeUpstream(p.inLink, p.atRouter, p.slot, int64(p.Flits), &n.Counters)
+	n.freeUpstream(p.inLink, p.atRouter, p.slot, int64(p.Flits))
 	p.sending = false
 
 	if f.eject {
 		n.pushEject(f.toRouter, p)
 		return
 	}
-	n.landArrive(f, &n.Counters)
+	n.landArrive(f)
 }
 
 // freeUpstream releases the input VC slot a departed packet occupied.
-// The position is passed explicitly (not read from the packet) because
-// the parallel engine applies the release after the arrival side has
-// already overwritten the packet's position fields.
-func (n *Network) freeUpstream(inLink, router, slot int, flits int64, ctr *Counters) {
+func (n *Network) freeUpstream(inLink, router, slot int, flits int64) {
 	n.slotOf(inLink, router, slot).pkt = nil
 	n.occIn[router]--
 	if inLink == LocalPort {
@@ -125,13 +100,12 @@ func (n *Network) freeUpstream(inLink, router, slot int, flits int64, ctr *Count
 	} else {
 		n.occLink[inLink]--
 	}
-	ctr.BufReads += flits
+	n.Counters.BufReads += flits
 }
 
 // landArrive applies the downstream (destination-router) effects of a
-// completed non-eject transfer. Counter increments go to ctr so the
-// parallel engine can stage them per shard.
-func (n *Network) landArrive(f flight, ctr *Counters) {
+// completed non-eject transfer.
+func (n *Network) landArrive(f flight) {
 	p := f.pkt
 	dst := &n.linkVC[f.toLink][f.toSlot]
 	dst.reserved = false
@@ -149,12 +123,12 @@ func (n *Network) landArrive(f flight, ctr *Counters) {
 	p.DownPhase = f.downPhase
 	if !f.productive {
 		p.Misroutes++
-		ctr.Misroutes++
+		n.Counters.Misroutes++
 	}
-	ctr.Hops++
-	ctr.LinkFlits += int64(p.Flits)
-	ctr.BufWrites += int64(p.Flits)
-	ctr.noteVNActivity(p.VNet, f.toRouter, n.cycle, int64(p.Flits))
+	n.Counters.Hops++
+	n.Counters.LinkFlits += int64(p.Flits)
+	n.Counters.BufWrites += int64(p.Flits)
+	n.Counters.noteVNActivity(p.VNet, f.toRouter, n.cycle, int64(p.Flits))
 	n.eng.placed(n, f.toRouter, p.readyAt)
 }
 
@@ -188,7 +162,7 @@ func (n *Network) allocate() {
 		if n.occIn[r] == 0 {
 			continue
 		}
-		n.allocateRouter(r, &n.gs)
+		n.allocateRouter(r)
 	}
 }
 
@@ -199,7 +173,8 @@ func (n *Network) allocate() {
 // the two are equal, so a head that is blocked, loses arbitration, or
 // is merely waiting to become stalled-enough to deroute keeps the
 // router in the active set.
-func (n *Network) allocateRouter(r int, gs *gatherScratch) (eligible, granted int) {
+func (n *Network) allocateRouter(r int) (eligible, granted int) {
+	gs := &n.gs
 	reqs, eligible := n.gatherRequests(r, gs)
 	if len(reqs) == 0 {
 		return eligible, 0
@@ -324,9 +299,7 @@ const wantOutMaxReqs = 4
 // outLinks iteration order the dense allocator used, so arbitration and
 // its RNG draws happen in the identical output order). The wantOut
 // cycle stamps live on the Network: a link belongs to exactly one source
-// router, so stamps from routers sharing a cycle never collide — which
-// also makes the stamping safe for the parallel engine's concurrent
-// per-shard gathering.
+// router, so stamps from routers sharing a cycle never collide.
 func (n *Network) noteWantOut(gs *gatherScratch, out int) {
 	if n.wantOut[out] == n.cycle {
 		return
@@ -348,10 +321,7 @@ func (n *Network) arbitrateEject(r int, reqs []request) int {
 }
 
 // buildEjectWinners appends the indices (into reqs) of the packets that
-// could take r's eject port this cycle. Feasibility depends only on
-// state owned by router r (its reqs' packets, its ejection queues), so
-// the parallel engine can build winner lists concurrently per shard and
-// commit them later unchanged.
+// could take r's eject port this cycle.
 func (n *Network) buildEjectWinners(r int, reqs []request, winners []int) []int {
 	for i := range reqs {
 		req := &reqs[i]
@@ -363,7 +333,7 @@ func (n *Network) buildEjectWinners(r int, reqs []request, winners []int) []int 
 }
 
 // commitEject draws the eject-port winner and applies the grant. Must
-// run serially in ascending router order (it consumes the shared RNG).
+// run in ascending router order (it consumes the shared RNG).
 func (n *Network) commitEject(r int, reqs []request, winners []int) int {
 	if len(winners) == 0 {
 		return 0
@@ -383,26 +353,15 @@ func (n *Network) commitEject(r int, reqs []request, winners []int) int {
 // arbitrateLink grants output link `out` of router r to one input VC,
 // returning the number of grants made (0 or 1).
 func (n *Network) arbitrateLink(r, out int, reqs []request) int {
-	options := n.buildLinkOptions(out, reqs, n.scrOpts[:0], false)
+	options := n.buildLinkOptions(out, reqs, n.scrOpts[:0])
 	n.scrOpts = options
 	return n.commitLinkGrant(r, out, reqs, options)
 }
 
 // buildLinkOptions appends every feasible (request → output slot)
-// assignment for link `out` to options. All feasibility inputs are
-// stable for the whole allocation phase — an output link is granted at
-// most once per cycle and belongs to exactly one source router — with
-// two exceptions:
-//
-//   - p.sending: a packet granted an earlier output of the same router
-//     is skipped. With deferBubble the caller re-filters at commit time.
-//   - the single-VC bubble rule (routerFreeInVN of the *target* router),
-//     which other routers' same-cycle grants can still change. With
-//     deferBubble=false it is evaluated inline (serial allocators); with
-//     deferBubble=true the plan emits both outcomes as conditional
-//     options (grant.cond) for the serial commit to resolve at exactly
-//     the point the serial order would have evaluated the rule.
-func (n *Network) buildLinkOptions(out int, reqs []request, options []grant, deferBubble bool) []grant {
+// assignment for link `out` to options. A packet granted an earlier
+// output of the same router (p.sending) is skipped.
+func (n *Network) buildLinkOptions(out int, reqs []request, options []grant) []grant {
 	for i := range reqs {
 		req := &reqs[i]
 		p := req.pkt
@@ -422,35 +381,8 @@ func (n *Network) buildLinkOptions(out int, reqs []request, options []grant, def
 			if n.freeSlotsInVN(out, p.VNet) < min(2, n.cfg.VCsPerVN) {
 				conservativeOK = false
 			}
-			if conservativeOK && n.cfg.VCsPerVN == 1 {
-				to := n.g.Link(out).To
-				if !deferBubble {
-					if n.routerFreeInVN(to, p.VNet) < 2 {
-						conservativeOK = false
-					}
-				} else {
-					gOK, okOK := n.optionFor(out, i, req, true)
-					gFail, okFail := n.optionFor(out, i, req, false)
-					if okOK && okFail && gOK == gFail {
-						// Same grant either way: the bubble outcome is
-						// irrelevant, emit it unconditionally.
-						options = append(options, gOK)
-						continue
-					}
-					if okOK {
-						gOK.cond = condBubbleOK
-						gOK.bubbleTo = int32(to)
-						gOK.bubbleVN = int32(p.VNet)
-						options = append(options, gOK)
-					}
-					if okFail {
-						gFail.cond = condBubbleFail
-						gFail.bubbleTo = int32(to)
-						gFail.bubbleVN = int32(p.VNet)
-						options = append(options, gFail)
-					}
-					continue
-				}
+			if conservativeOK && n.cfg.VCsPerVN == 1 && n.routerFreeInVN(n.g.Link(out).To, p.VNet) < 2 {
+				conservativeOK = false
 			}
 		}
 		if g, ok := n.optionFor(out, i, req, conservativeOK); ok {
@@ -460,8 +392,8 @@ func (n *Network) buildLinkOptions(out int, reqs []request, options []grant, def
 	return options
 }
 
-// optionFor computes the grant the serial allocator would build for req
-// on output `out`, given the conservative-rule outcome. The non-escape
+// optionFor computes the grant for req on output `out`, given the
+// conservative-rule outcome. The non-escape
 // path needs the output in mainOuts and a free non-escape VC downstream
 // in the packet's VNet; failing that, the escape path applies: output
 // legal under escape routing and the escape slot downstream free. A
@@ -500,7 +432,7 @@ func (n *Network) optionFor(out, reqIdx int, req *request, conservativeOK bool) 
 }
 
 // commitLinkGrant draws the winner among options and applies the grant.
-// Must run serially in ascending (router, output) order — it consumes
+// Must run in ascending (router, output) order — it consumes
 // the shared RNG, and the option sets of later outputs depend on
 // earlier winners through p.sending.
 func (n *Network) commitLinkGrant(r, out int, reqs []request, options []grant) int {
@@ -641,18 +573,7 @@ func (n *Network) injectFromQueues() {
 // heads into a free local VC, reporting whether any queue at r is still
 // non-empty afterwards. Injection draws no randomness, so the engines
 // can call it on any superset of the routers with queued packets.
-func (n *Network) injectRouterQueues(r int) bool {
-	pending, emptied := n.injectRouterQueuesInto(r, &n.Counters)
-	n.injPending -= emptied
-	return pending
-}
-
-// injectRouterQueuesInto is injectRouterQueues with the side effects the
-// parallel engine must stage per shard made explicit: counter
-// increments go to ctr, and the number of queues drained to empty is
-// returned instead of applied to n.injPending (the caller reduces the
-// deltas in deterministic shard order).
-func (n *Network) injectRouterQueuesInto(r int, ctr *Counters) (pending bool, emptied int) {
+func (n *Network) injectRouterQueues(r int) (pending bool) {
 	for class := 0; class < n.cfg.Classes; class++ {
 		q := &n.injQ[r][class]
 		p := q.Peek()
@@ -666,7 +587,7 @@ func (n *Network) injectRouterQueuesInto(r int, ctr *Counters) (pending bool, em
 		}
 		q.Pop()
 		if q.Len() == 0 {
-			emptied++
+			n.injPending--
 		} else {
 			pending = true
 		}
@@ -682,12 +603,12 @@ func (n *Network) injectRouterQueuesInto(r int, ctr *Counters) (pending bool, em
 		if escape && !n.cfg.NonStickyEscape {
 			p.InEscape = true
 		}
-		ctr.Injected++
-		ctr.BufWrites += int64(p.Flits)
-		ctr.noteVNActivity(p.VNet, r, n.cycle, int64(p.Flits))
+		n.Counters.Injected++
+		n.Counters.BufWrites += int64(p.Flits)
+		n.Counters.noteVNActivity(p.VNet, r, n.cycle, int64(p.Flits))
 		n.eng.placed(n, r, p.readyAt)
 	}
-	return pending, emptied
+	return pending
 }
 
 // freeLocalSlot picks a free local VC in vn, preferring non-escape slots.

@@ -83,7 +83,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "drainserved_jobs_total %d\n", m.jobsTotal.Load())
 	fmt.Fprintf(w, "drainserved_jobs_failed %d\n", m.jobsFailed.Load())
 	fmt.Fprintf(w, "drainserved_jobs_cancelled %d\n", m.jobsCancelled.Load())
-	fmt.Fprintf(w, "drainserved_sim_parallel_shards %d\n", s.cfg.Shards)
 	hits, misses, entries := s.CacheStats()
 	fmt.Fprintf(w, "drainserved_cache_hits %d\n", hits)
 	fmt.Fprintf(w, "drainserved_cache_misses %d\n", misses)

@@ -54,18 +54,10 @@ type Request struct {
 
 	// FaultSchedule lists live topology changes (link failures and
 	// recoveries) applied mid-run at the scheduled cycles; see
-	// sim.FaultEvent. Unlike Shards, a schedule changes what the sweep
-	// computes, so it IS part of the cache key (it rides inside the
-	// canonical form's embedded sim.Params).
+	// sim.FaultEvent. A schedule changes what the sweep computes, so it
+	// is part of the cache key (it rides inside the canonical form's
+	// embedded sim.Params).
 	FaultSchedule []sim.FaultEvent `json:"fault_schedule,omitempty"`
-
-	// Shards runs the sweep's simulations on the sharded parallel engine
-	// with that many shards (0 = the server's -shards process default).
-	// Results are byte-identical for every value, so shards are NOT part
-	// of the cache key: a sweep computed at shards=4 answers the same
-	// request at shards=1 from cache, and vice versa. Ignored by figure
-	// jobs (those follow the process default only).
-	Shards int `json:"shards,omitempty"`
 }
 
 // maxMesh bounds served topologies: a request is user input, and an
@@ -100,14 +92,6 @@ type canonical struct {
 	Rates   []float64  `json:"rates"`
 	Warmup  int64      `json:"warmup"`
 	Measure int64      `json:"measure"`
-
-	// Shards rides along to execution but is excluded from the encoding
-	// (and so from the cache key): the shard count changes how fast a
-	// sweep computes, never what it computes. sim.Params.Shards carries
-	// the same tag, keeping the embedded Params encoding shard-free.
-	//
-	//drain:cachekey-exempt execution speed knob only; a sweep computed at any shard count answers the same request at every other from cache (TestKeyIgnoresShards)
-	Shards int `json:"-"`
 }
 
 // Canonicalize validates req and resolves every default, returning the
@@ -171,9 +155,6 @@ func (req Request) canonicalSweep() (canonical, error) {
 	if req.Warmup < 0 || req.Measure < 0 {
 		return canonical{}, fmt.Errorf("warmup and measure must be >= 0")
 	}
-	if req.Shards < 0 || req.Shards > maxMesh*maxMesh {
-		return canonical{}, fmt.Errorf("shards %d out of range (0..%d)", req.Shards, maxMesh*maxMesh)
-	}
 	if len(req.FaultSchedule) > maxFaultEvents {
 		return canonical{}, fmt.Errorf("too many fault events (%d > %d)", len(req.FaultSchedule), maxFaultEvents)
 	}
@@ -191,6 +172,20 @@ func (req Request) canonicalSweep() (canonical, error) {
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
+	}
+	// Reject unbuildable topologies with arithmetic alone (cache hits
+	// pass through here too, so no graph is built): faults can remove
+	// every link beyond a spanning tree's W·H−1, DoR needs every mesh
+	// link, and DRAIN's drain path needs at least one link.
+	w, h := p.Width, p.Height
+	if spare := w*(h-1) + h*(w-1) - (w*h - 1); p.Faults > spare {
+		return canonical{}, fmt.Errorf("faults %d exceed the %d links a %dx%d mesh can lose and stay connected", p.Faults, spare, w, h)
+	}
+	if p.Scheme == sim.SchemeDoR && p.Faults > 0 {
+		return canonical{}, fmt.Errorf("scheme dor needs a fault-free mesh (faults must be 0)")
+	}
+	if p.Scheme == sim.SchemeDRAIN && w*h == 1 {
+		return canonical{}, fmt.Errorf("scheme drain needs at least one link (a 1x1 mesh has none)")
 	}
 	if len(p.FaultSchedule) > 0 {
 		// Validate the schedule against the concrete topology up front so
@@ -239,7 +234,6 @@ func (req Request) canonicalSweep() (canonical, error) {
 	return canonical{
 		Kind: KindSweep, Params: p, Pattern: pattern,
 		Rates: rates, Warmup: warmup, Measure: measure,
-		Shards: req.Shards,
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 )
@@ -47,32 +48,9 @@ func TestKeyDefaultsExplicitIdentical(t *testing.T) {
 	}
 }
 
-// The shard count steers execution speed, never results, so it must not
-// fragment the cache: requests differing only in shards share a key,
-// and the canonical form still carries the count to execution.
-func TestKeyIgnoresShards(t *testing.T) {
-	base := `{"kind":"sweep","scheme":"drain","width":8,"height":8,"faults":4}`
-	sharded := `{"kind":"sweep","scheme":"drain","width":8,"height":8,"faults":4,"shards":4}`
-	if a, b := keyOf(t, base), keyOf(t, sharded); a != b {
-		t.Fatalf("shards changed the cache key: %s vs %s", a, b)
-	}
-	var req Request
-	if err := json.Unmarshal([]byte(sharded), &req); err != nil {
-		t.Fatal(err)
-	}
-	c, err := req.Canonicalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Shards != 4 {
-		t.Fatalf("canonical dropped the shard count: got %d, want 4", c.Shards)
-	}
-}
-
-// A fault schedule changes what the sweep computes, so — unlike shards
-// — it MUST be part of the cache key: adding one, moving an event, or
-// flipping its direction each produce a distinct key, while shards
-// still do not fragment entries that share a schedule.
+// A fault schedule changes what the sweep computes, so it MUST be part
+// of the cache key: adding one, moving an event, or flipping its
+// direction each produce a distinct key.
 func TestKeyIncludesFaultSchedule(t *testing.T) {
 	base := `{"kind":"sweep","scheme":"drain","width":8,"height":8}`
 	oneFault := `{"kind":"sweep","scheme":"drain","width":8,"height":8,
@@ -88,12 +66,6 @@ func TestKeyIncludesFaultSchedule(t *testing.T) {
 			t.Fatalf("fault schedule not in cache key: %s and %s collide", prev, body)
 		}
 		keys[k] = body
-	}
-	// Shards still ride outside the key for scheduled-fault sweeps.
-	shardedFault := `{"kind":"sweep","scheme":"drain","width":8,"height":8,"shards":4,
-		"fault_schedule":[{"cycle":1000,"a":1,"b":2,"fail":true}]}`
-	if a, b := keyOf(t, oneFault), keyOf(t, shardedFault); a != b {
-		t.Fatalf("shards changed the key of a scheduled-fault sweep: %s vs %s", a, b)
 	}
 }
 
@@ -126,34 +98,62 @@ func TestKeySemanticChangesDiffer(t *testing.T) {
 	}
 }
 
+// badRequests are well-formed JSON bodies Canonicalize must reject
+// (TestCanonicalizeRejectsBadRequests; also FuzzCanonicalize seeds).
+var badRequests = []string{
+	`{"kind":"mystery"}`,
+	`{"kind":"figure"}`,                                      // no fig
+	`{"fig":"fig999"}`,                                       // unknown figure
+	`{"fig":"fig6","scale":"huge"}`,                          // unknown scale
+	`{"kind":"sweep","scheme":"teleport"}`,                   // unknown scheme
+	`{"kind":"sweep","width":1000}`,                          // mesh too large
+	`{"kind":"sweep","faults":-1}`,                           // negative faults
+	`{"kind":"sweep","pattern":"nope"}`,                      // unknown pattern
+	`{"kind":"sweep","rates":[2.0]}`,                         // rate out of range
+	`{"kind":"sweep","rates":[0.0]}`,                         // rate out of range
+	`{"kind":"sweep","warmup":-1}`,                           // negative warmup
+	`{"kind":"sweep","width":4,"height":4,"faults":10}`,      // 4x4 can lose at most 9 links
+	`{"kind":"sweep","faults":50}`,                           // default 8x8 can lose at most 49
+	`{"kind":"sweep","width":1,"height":5,"faults":1}`,       // a line has no spare link
+	`{"kind":"sweep","scheme":"dor","faults":1}`,             // DoR needs a fault-free mesh
+	`{"kind":"sweep","scheme":"drain","width":1,"height":1}`, // no link for a drain path
+	`{"kind":"sweep","scheme":"dor","fault_schedule":[{"cycle":10,"a":1,"b":2,"fail":true}]}`,                        // DoR needs a fault-free mesh
+	`{"kind":"sweep","fault_schedule":[{"cycle":-1,"a":1,"b":2,"fail":true}]}`,                                       // negative cycle
+	`{"kind":"sweep","fault_schedule":[{"cycle":10,"a":1,"b":3,"fail":true}]}`,                                       // no such mesh link
+	`{"kind":"sweep","fault_schedule":[{"cycle":10,"a":1,"b":2,"fail":false}]}`,                                      // recovering an up link
+	`{"kind":"sweep","fault_schedule":[{"cycle":20,"a":1,"b":2,"fail":true},{"cycle":10,"a":5,"b":6,"fail":true}]}`,  // unsorted
+	`{"kind":"sweep","fault_schedule":[{"cycle":10,"a":1,"b":2,"fail":true},{"cycle":10,"a":2,"b":1,"fail":false}]}`, // duplicate link event
+}
+
+// goodRequests are boundary requests that build and run, so Canonicalize
+// must accept them (TestCanonicalizeRejectsBadRequests; also
+// FuzzCanonicalize seeds).
+var goodRequests = []string{
+	`{"kind":"sweep","width":4,"height":4,"faults":9}`,
+	`{"kind":"sweep","faults":49}`,
+	`{"kind":"sweep","scheme":"none","width":1,"height":1}`,
+	`{"kind":"sweep","scheme":"dor","faults":0}`,
+}
+
 func TestCanonicalizeRejectsBadRequests(t *testing.T) {
-	bad := []string{
-		`{"kind":"mystery"}`,
-		`{"kind":"figure"}`,                    // no fig
-		`{"fig":"fig999"}`,                     // unknown figure
-		`{"fig":"fig6","scale":"huge"}`,        // unknown scale
-		`{"kind":"sweep","scheme":"teleport"}`, // unknown scheme
-		`{"kind":"sweep","width":1000}`,        // mesh too large
-		`{"kind":"sweep","faults":-1}`,         // negative faults
-		`{"kind":"sweep","pattern":"nope"}`,    // unknown pattern
-		`{"kind":"sweep","rates":[2.0]}`,       // rate out of range
-		`{"kind":"sweep","rates":[0.0]}`,       // rate out of range
-		`{"kind":"sweep","warmup":-1}`,         // negative warmup
-		`{"kind":"sweep","shards":-1}`,         // negative shards
-		`{"kind":"sweep","scheme":"dor","fault_schedule":[{"cycle":10,"a":1,"b":2,"fail":true}]}`,                        // DoR needs a fault-free mesh
-		`{"kind":"sweep","fault_schedule":[{"cycle":-1,"a":1,"b":2,"fail":true}]}`,                                       // negative cycle
-		`{"kind":"sweep","fault_schedule":[{"cycle":10,"a":1,"b":3,"fail":true}]}`,                                       // no such mesh link
-		`{"kind":"sweep","fault_schedule":[{"cycle":10,"a":1,"b":2,"fail":false}]}`,                                      // recovering an up link
-		`{"kind":"sweep","fault_schedule":[{"cycle":20,"a":1,"b":2,"fail":true},{"cycle":10,"a":5,"b":6,"fail":true}]}`,  // unsorted
-		`{"kind":"sweep","fault_schedule":[{"cycle":10,"a":1,"b":2,"fail":true},{"cycle":10,"a":2,"b":1,"fail":false}]}`, // duplicate link event
-	}
-	for _, body := range bad {
+	for _, body := range badRequests {
 		var req Request
 		if err := json.Unmarshal([]byte(body), &req); err != nil {
 			t.Fatalf("unmarshal %q: %v", body, err)
 		}
 		if _, err := req.Canonicalize(); err == nil {
 			t.Errorf("Canonicalize(%s) accepted a bad request", body)
+		}
+	}
+
+	// Boundary requests that build and run must still be accepted.
+	for _, body := range goodRequests {
+		var req Request
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatalf("unmarshal %q: %v", body, err)
+		}
+		if _, err := req.Canonicalize(); err != nil {
+			t.Errorf("Canonicalize(%s) rejected a buildable request: %v", body, err)
 		}
 	}
 
@@ -165,4 +165,38 @@ func TestCanonicalizeRejectsBadRequests(t *testing.T) {
 	if _, err := long.Canonicalize(); err == nil {
 		t.Errorf("Canonicalize accepted %d rates", len(long.Rates))
 	}
+}
+
+// FuzzCanonicalize feeds arbitrary bodies through the server's decoding
+// (unknown fields rejected, as in the handler) and Canonicalize: no
+// input may panic, and an accepted request must canonicalize to the
+// same cache key every time.
+func FuzzCanonicalize(f *testing.F) {
+	for _, body := range append(append([]string{
+		`{"kind":"sweep","scheme":"drain","width":8,"faults":4,"rates":[0.02,0.1]}`,
+		`{"fig":"fig6"}`,
+		`{"kind":"sweep","scheme":"drain","width":8,"height":8,
+			"fault_schedule":[{"cycle":1000,"a":1,"b":2,"fail":true},{"cycle":2000,"a":1,"b":2,"fail":false}]}`,
+	}, badRequests...), goodRequests...) {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		var req Request
+		if err := dec.Decode(&req); err != nil {
+			return
+		}
+		c1, err := req.Canonicalize()
+		if err != nil {
+			return
+		}
+		c2, err := req.Canonicalize()
+		if err != nil {
+			t.Fatalf("second Canonicalize rejected an accepted request: %v", err)
+		}
+		if k1, k2 := c1.Key(), c2.Key(); k1 != k2 {
+			t.Fatalf("unstable key for %s: %s vs %s", body, k1, k2)
+		}
+	})
 }

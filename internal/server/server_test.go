@@ -240,7 +240,7 @@ func TestHealthzOK(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, Shards: 4})
+	_, ts := newTestServer(t, Config{Workers: 1})
 	postJob(t, ts.URL, `{"fig":"fig6"}`) // miss + execute
 	postJob(t, ts.URL, `{"fig":"fig6"}`) // hit
 
@@ -264,7 +264,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"drainserved_cache_misses 1",
 		"drainserved_cache_entries 1",
 		"drainserved_cache_hit_rate 0.5000",
-		"drainserved_sim_parallel_shards 4",
 		"drainserved_sim_cycles_total ",
 		"drainserved_sim_cycles_per_second ",
 		"drainserved_sim_fastforward_cycles_total ",
@@ -293,6 +292,8 @@ func TestBadRequestsRejected(t *testing.T) {
 		`{"kind":"sweep","rng_mode":"exact"}`,
 		`{"fig":"fig6","rng_mode":"counter"}`,
 		`{"fig":"fig6","rng_mode":"fast"}`,
+		// shards is not a request field either.
+		`{"kind":"sweep","shards":2}`,
 	} {
 		resp, data := postJob(t, ts.URL, body)
 		if resp.StatusCode != http.StatusBadRequest {

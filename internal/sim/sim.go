@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"math/rand/v2"
-	"sync/atomic"
 
 	"drain/internal/coherence"
 	"drain/internal/core"
@@ -153,27 +152,11 @@ type Params struct {
 	// across engines, so this only affects speed.
 	Engine noc.EngineKind
 
-	// Shards, when positive, runs the simulation on the sharded parallel
-	// engine (noc.EngineParallel) with that many shards, overriding
-	// Engine. Zero defers to the process default (SetDefaultShards).
-	// Results are byte-identical for every value — shards are a speed
-	// knob, not a model knob — so the field is excluded from the JSON
-	// form Normalized Params are cache-keyed by.
-	//
-	//drain:cachekey-exempt shard count changes how fast a run computes, never what it computes (byte-identity proven by TestParallelEngineDifferential), so equal requests at different shard counts must share a cache entry
-	Shards int `json:"-"`
-	// ParallelInline overrides the parallel engine's inline-cycle
-	// threshold (see noc.Config.ParallelInline; tests use -1 to force
-	// the phased pipeline). Excluded from cache keys like Shards.
-	//
-	//drain:cachekey-exempt inline threshold only picks between byte-identical serial and phased paths; results cannot depend on it
-	ParallelInline int `json:"-"`
-
 	// FaultSchedule lists live topology changes (link failures and
 	// recoveries) applied mid-run at the scheduled cycle boundaries; see
-	// FaultEvent and ValidateFaultSchedule. Unlike Shards a schedule
-	// changes simulation results, so it stays in the JSON form cache
-	// keys are derived from.
+	// FaultEvent and ValidateFaultSchedule. A schedule changes
+	// simulation results, so it stays in the JSON form cache keys are
+	// derived from.
 	FaultSchedule []FaultEvent `json:",omitempty"`
 
 	// RoutingTable optionally reuses a prebuilt routing table (see
@@ -181,23 +164,13 @@ type Params struct {
 	// value* the runner gets, so it pairs with BuildOn (Build constructs
 	// a fresh graph, which can never match). Routing is a pure function
 	// of the topology, so reuse cannot change results; excluded from
-	// cache keys like Shards.
+	// cache keys.
 	//
 	//drain:cachekey-exempt a prebuilt table is a memoization of the pure routing function of the (already-keyed) topology parameters; reusing one cannot change results
 	RoutingTable *routing.Table `json:"-"`
 
 	Seed uint64
 }
-
-// defaultShards is the process-wide shard count applied when a Params
-// leaves Shards at zero (set from the -shards flag of cmd/experiments
-// and cmd/drainserved, which fan out over internally built Params).
-var defaultShards atomic.Int64
-
-// SetDefaultShards sets the process-wide default shard count: n > 0
-// makes every Build with Params.Shards == 0 use the parallel engine
-// with n shards; n <= 0 restores the built-in (serial event engine).
-func SetDefaultShards(n int) { defaultShards.Store(int64(n)) }
 
 func (p *Params) setDefaults() {
 	if p.Width <= 0 {
@@ -329,18 +302,6 @@ func BuildOn(g *topology.Graph, mesh *topology.Mesh, p Params) (*Runner, error) 
 		Engine:       p.Engine,
 		Table:        p.RoutingTable,
 	}
-	shards := p.Shards
-	if shards == 0 {
-		shards = int(defaultShards.Load())
-	}
-	if shards > 0 || p.Engine == noc.EngineParallel {
-		cfg.Engine = noc.EngineParallel
-		if shards < 1 {
-			shards = 1
-		}
-		cfg.Shards = shards
-		cfg.ParallelInline = p.ParallelInline
-	}
 	switch p.Scheme {
 	case SchemeNone, SchemeIdeal, SchemeSPIN:
 		cfg.Routing = routing.AdaptiveMinimal
@@ -410,10 +371,10 @@ func sinkClasses(classes int) []bool {
 	return out
 }
 
-// Close releases engine-owned resources (the parallel engine's worker
-// goroutines). Optional — a finalizer covers forgotten runners — but
-// sweeps that build many runners should close each when done with it.
-func (r *Runner) Close() { r.Net.Close() }
+// Close does nothing: a Runner owns no resources beyond memory.
+//
+// Deprecated: there is nothing to release; drop the call.
+func (r *Runner) Close() {}
 
 // TickScheme advances whichever controller the scheme uses; call once
 // per cycle after Net.Step.
