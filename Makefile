@@ -34,10 +34,11 @@ test-allocs:
 	$(GO) test -run 'TestStepAllocs|TestRunAllocsPerDeliveredPacket|TestGoldenCounters' -count=1 . ./internal/sim
 
 ## bench: run the hot-path benchmarks (BenchmarkStep's event/dense load
-## points and BenchmarkStepAllocs), keeping the raw benchstat-compatible
+## points, its Mesh32Mid size point and BenchmarkStepAllocs), keeping the raw benchstat-compatible
 ## text in BENCH_noc.txt and appending a machine-readable entry
-## (ns/cycle, cycles/sec, allocs and event-vs-dense speedups) to the
-## history array in BENCH_noc.json, keyed by git SHA + date — prior runs
+## (ns/cycle, cycles/sec, allocs, event-vs-dense speedups and the host's
+## OS/arch, CPU count and Go version) to the history array in
+## BENCH_noc.json, keyed by git SHA + date — prior runs
 ## are kept byte for byte, and re-benching the same commit replaces its
 ## entry.
 ## Feed BENCH_noc.txt files from two builds to benchstat for A/B
@@ -49,6 +50,7 @@ bench:
 		-sha "$$(git rev-parse --short HEAD)$$(git diff --quiet HEAD -- . ':!BENCH_noc.json' ':!BENCH_noc.txt' || echo -dirty)" \
 		-date "$$(date -u +%F)" \
 		-note "event-vs-dense speedups are same-binary, same-run ratios of BenchmarkStep's engine sub-benchmarks (see DESIGN.md 'Event-driven core' for the measurement protocol)" \
+		-note "host: $$(uname -sm), $$(nproc) CPUs, $$(go env GOVERSION)" \
 		< BENCH_noc.txt
 
 ## bench-all: every benchmark, including the full experiment
@@ -58,7 +60,7 @@ bench-all:
 
 ## fuzz: short native-fuzz smoke over the noc invariant properties, the
 ## dense-vs-event engine byte-identity differential, and the external
-## inputs (server requests, fault-schedule strings).
+## inputs (server requests, fault-schedule strings, scheme names).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzConservation -fuzztime=$(FUZZTIME) ./internal/noc
@@ -66,6 +68,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDenseVsEvent -fuzztime=$(FUZZTIME) ./internal/noc
 	$(GO) test -run=^$$ -fuzz=FuzzCanonicalize -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run=^$$ -fuzz=FuzzParseFaultSchedule -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run=^$$ -fuzz=FuzzParseScheme -fuzztime=$(FUZZTIME) ./internal/sim
 
 ## results: regenerate the quick-scale markdown tables under results/.
 results:

@@ -86,6 +86,13 @@ func BenchmarkFig10SaturationParallel(b *testing.B) {
 // The event/dense pairs are byte-identical runs (FuzzDenseVsEvent
 // enforces it), so the ratio is pure engine speedup; `make bench`
 // records the numbers in BENCH_noc.json.
+//
+// Mesh32Mid/event is the size axis: the repo benchmark's mesh32-sweep
+// topology (32x32, 32 link faults, fault seed 1, epoch 1024) at its mid
+// rate 0.035, event engine only, over a 200-cycle window so CI's
+// 10-iteration smoke stays short. Most of its routers hold one or two
+// requests per visit, the regime where per-request allocator overhead
+// shows.
 func BenchmarkStep(b *testing.B) {
 	loads := []struct {
 		name string
@@ -98,33 +105,44 @@ func BenchmarkStep(b *testing.B) {
 	for _, load := range loads {
 		for _, eng := range []noc.EngineKind{noc.EngineEvent, noc.EngineDense} {
 			b.Run(load.name+"/"+eng.String(), func(b *testing.B) {
-				r, err := sim.Build(sim.Params{
-					Width: 8, Height: 8, Scheme: sim.SchemeDRAIN, Seed: 1, Engine: eng,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				pat := traffic.UniformRandom{N: 64}
-				// Prime to steady state so b.N windows measure the loop,
-				// not the fill transient.
-				if _, err := r.RunSynthetic(pat, load.rate, 0, 2000); err != nil {
-					b.Fatal(err)
-				}
-				const window = 5000
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := r.RunSynthetic(pat, load.rate, 0, window); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / window
-				b.ReportMetric(ns, "ns/cycle")
-				if ns > 0 {
-					b.ReportMetric(1e9/ns, "cycles/sec")
-				}
+				p := sim.Params{Width: 8, Height: 8, Scheme: sim.SchemeDRAIN, Seed: 1, Engine: eng}
+				benchSteps(b, p, load.rate, 2000, 5000)
 			})
 		}
+	}
+	b.Run("Mesh32Mid/event", func(b *testing.B) {
+		p := sim.Params{
+			Width: 32, Height: 32, Faults: 32, FaultSeed: 1,
+			Scheme: sim.SchemeDRAIN, Epoch: 1024, Seed: 1,
+		}
+		benchSteps(b, p, 0.035, 500, 200)
+	})
+}
+
+// benchSteps builds p, primes it for prime cycles of uniform traffic at
+// rate, then times b.N windows of window cycles, reporting ns/cycle.
+func benchSteps(b *testing.B, p sim.Params, rate float64, prime, window int64) {
+	r, err := sim.Build(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pat := traffic.UniformRandom{N: p.Width * p.Height}
+	// Prime to steady state so b.N windows measure the loop, not the
+	// fill transient.
+	if _, err := r.RunSynthetic(pat, rate, 0, prime); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.RunSynthetic(pat, rate, 0, window); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(window)
+	b.ReportMetric(ns, "ns/cycle")
+	if ns > 0 {
+		b.ReportMetric(1e9/ns, "cycles/sec")
 	}
 }
 

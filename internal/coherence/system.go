@@ -119,6 +119,10 @@ type node struct {
 	hits         int64
 	misses       int64
 	blockedCyc   int64 // cycles the core wanted to issue but could not
+	// completedWait counts the node's completed MSHRs not yet retired
+	// (fills stalled on injection capacity): retryCompletions has work
+	// only while it is non-zero.
+	completedWait int
 }
 
 // Stats aggregates system-level protocol statistics.
@@ -232,13 +236,11 @@ func (s *System) DebugSnapshot() Snapshot {
 	snap.SampleBusyAddr, snap.SampleMSHRAddr = -1, -1
 	for r, nd := range s.nodes {
 		snap.PendingMSHRs += nd.mshrs.Len()
+		snap.CompletedWait += nd.completedWait
 		// The sample fields take the maximum address rather than the last
 		// one visited; combined with dense.Table's deterministic walk the
 		// snapshot is identical across runs by construction.
 		nd.mshrs.Each(func(_ int64, ms *mshr) bool {
-			if ms.completed {
-				snap.CompletedWait++
-			}
 			snap.SampleMSHRAddr = max(snap.SampleMSHRAddr, ms.addr)
 			return true
 		})
@@ -388,21 +390,34 @@ func (s *System) maybeComplete(r int, ms *mshr) {
 	if !ms.gotData || ms.gotAcks < ms.needAcks {
 		return
 	}
-	ms.completed = true
+	if !ms.completed {
+		ms.completed = true
+		s.nodes[r].completedWait++
+	}
 	s.tryFinish(r, ms)
 }
 
 // tryFinish performs the fill + Unblock once capacity allows.
 func (s *System) tryFinish(r int, ms *mshr) bool {
 	nd := s.nodes[r]
-	// Count needed injections: Unblock (resp) always; PutM (req) if the
-	// fill must evict a Modified line.
-	victim, needWB := s.pickVictim(r)
-	respNeeded, reqNeeded := 1, 0
-	if needWB {
-		reqNeeded = 1
+	// Random replacement draws its salt whenever the L1 is full, before
+	// the capacity checks, so the RNG stream does not depend on whether
+	// the fill completes. The O(lines) victim walk waits until the
+	// Unblock (resp) fits: most stalled fills fail there.
+	full := nd.lines.Len() >= s.cfg.L1Lines
+	var salt uint64
+	if full {
+		salt = s.rng.Uint64()
 	}
-	if !s.canSend(r, ClassResp, respNeeded) || (reqNeeded > 0 && !s.canSend(r, ClassReq, reqNeeded)) {
+	if !s.canSend(r, ClassResp, 1) {
+		return false
+	}
+	// A PutM (req) is needed too if the fill evicts a Modified line.
+	victim, needWB := int64(-1), false
+	if full {
+		victim, needWB = s.pickVictim(r, salt)
+	}
+	if needWB && !s.canSend(r, ClassReq, 1) {
 		return false
 	}
 	if needWB {
@@ -420,23 +435,20 @@ func (s *System) tryFinish(r int, ms *mshr) bool {
 	}
 	s.send(r, s.home(ms.addr), Msg{Type: Unblock, Addr: ms.addr, Requester: r})
 	nd.mshrs.Delete(ms.addr)
+	nd.completedWait--
 	nd.opsCompleted++
 	s.stats.TxCompleted++
 	return true
 }
 
-// pickVictim chooses an eviction victim if the L1 is full; returns
-// (-1,false) when no eviction is needed.
-func (s *System) pickVictim(r int) (int64, bool) {
+// pickVictim chooses the eviction victim of node r's full L1 and
+// reports whether it is Modified (needs a writeback). Random
+// replacement: salt (one RNG draw) salts an integer hash and the line
+// with the smallest hash (address tie-break) is evicted — a commutative
+// reduction, so it selects the same victim under any visit order, and
+// dense.Table's walk is deterministic anyway.
+func (s *System) pickVictim(r int, salt uint64) (int64, bool) {
 	nd := s.nodes[r]
-	if nd.lines.Len() < s.cfg.L1Lines {
-		return -1, false
-	}
-	// Random replacement: one RNG draw salts an integer hash and the
-	// line with the smallest hash (address tie-break) is evicted — a
-	// commutative reduction, so it selects the same victim under any
-	// visit order, and dense.Table's walk is deterministic anyway.
-	salt := s.rng.Uint64()
 	victim, best, found := int64(0), uint64(0), false
 	nd.lines.Each(func(a int64, _ LineState) bool {
 		h := mix64(uint64(a) ^ salt)
@@ -464,6 +476,9 @@ func mix64(x uint64) uint64 {
 // the same seed must finish the same ones first.
 func (s *System) retryCompletions(r int) {
 	nd := s.nodes[r]
+	if nd.completedWait == 0 {
+		return
+	}
 	addrs := s.scrAddrs[:0]
 	nd.mshrs.Each(func(a int64, ms *mshr) bool {
 		if ms.completed {

@@ -327,3 +327,67 @@ func TestSharedContentionGeneratesForwards(t *testing.T) {
 		t.Error("no transactions completed")
 	}
 }
+
+// TestCompletedWaitCount checks the per-node count of completed but
+// unretired MSHRs, which lets retryCompletions skip idle nodes, against
+// a recount of the MSHR tables after every Tick, on capacity-starved
+// runs (one- and two-entry injection queues, a small L1 kept full by a
+// write-heavy stream) where fills stall on injection capacity.
+func TestCompletedWaitCount(t *testing.T) {
+	for _, injectCap := range []int{1, 2} {
+		m := topology.MustMesh(3, 3)
+		n, err := noc.New(noc.Config{
+			Graph: m.Graph, Mesh: m,
+			VNets: 3, VCsPerVN: 2, Classes: NumClasses,
+			PolicyEscape:  true,
+			Routing:       routing.AdaptiveMinimal,
+			EscapeRouting: routing.AdaptiveMinimal,
+			InjectCap:     injectCap,
+			Seed:          uint64(injectCap),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := New(n, Config{
+			Gen:     testGen{issue: 0.8, sharedFrac: 0.3, writeFrac: 0.7, shared: 32, private: 512},
+			MSHRs:   4,
+			L1Lines: 8,
+			Seed:    uint64(10 + injectCap),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stalled := 0
+		for i := 0; i < 5000; i++ {
+			n.Step()
+			sys.Tick()
+			total := 0
+			for r, nd := range sys.nodes {
+				recount := 0
+				nd.mshrs.Each(func(_ int64, ms *mshr) bool {
+					if ms.completed {
+						recount++
+					}
+					return true
+				})
+				if nd.completedWait != recount {
+					t.Fatalf("InjectCap %d cycle %d node %d: completedWait %d, recount %d", injectCap, i, r, nd.completedWait, recount)
+				}
+				total += recount
+			}
+			if got := sys.DebugSnapshot().CompletedWait; got != total {
+				t.Fatalf("InjectCap %d cycle %d: DebugSnapshot.CompletedWait %d, recount %d", injectCap, i, got, total)
+			}
+			if total > 0 {
+				stalled++
+			}
+		}
+		if stalled == 0 {
+			t.Errorf("InjectCap %d: no fill ever stalled on capacity; the run checks nothing", injectCap)
+		}
+		if sys.stats.MsgsByType[PutM] == 0 {
+			t.Errorf("InjectCap %d: the L1 never evicted a Modified line", injectCap)
+		}
+		t.Logf("InjectCap %d: %d of 5000 cycles ended with a stalled fill; %d PutM", injectCap, stalled, sys.stats.MsgsByType[PutM])
+	}
+}

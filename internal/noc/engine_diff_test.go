@@ -23,25 +23,19 @@ import (
 // would not have (or vice versa) in a way that changed an arbitration
 // draw. Same contract as checkConservation: nil, errSkip, or a
 // descriptive property violation.
-func checkDenseVsEvent(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) error {
+//
+// With a non-nil ref the dense network replays its allocate phase
+// through refAllocEngine, which holds every arbitrated output's option
+// list to the reference builder and tallies into ref; the lockstep with
+// the event network then also proves the replay followed
+// allocateRouter's own output sequence.
+func checkDenseVsEvent(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8, ref *allocTally) error {
 	rng := rand.New(rand.NewPCG(seed, seed^0xd1ff))
-	nNodes := int(nRaw%12) + 4
-	g, err := topology.NewRandomConnected(nNodes, int(seed%7), rng)
+	cfg, err := lockstepConfig(seed, nRaw, vnRaw, vcRaw, escRaw, rng)
 	if err != nil {
 		return errSkip
 	}
-	vnets := int(vnRaw%2) + 1
-	vcs := int(vcRaw%3) + 1
-	cfg := Config{
-		Graph: g, VNets: vnets, VCsPerVN: vcs, Classes: vnets,
-		Routing: routing.AdaptiveMinimal,
-		Seed:    seed,
-	}
-	if escRaw%2 == 0 {
-		cfg.PolicyEscape = true
-		cfg.EscapeRouting = routing.AdaptiveMinimal
-		cfg.NonStickyEscape = escRaw%4 == 0
-	}
+	g, nNodes, vnets := cfg.Graph, cfg.Graph.N(), cfg.VNets
 	cfgDense, cfgEvent := cfg, cfg
 	cfgDense.Engine = EngineDense
 	cfgEvent.Engine = EngineEvent
@@ -52,6 +46,11 @@ func checkDenseVsEvent(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) error {
 	ev, err := New(cfgEvent)
 	if err != nil {
 		return errSkip
+	}
+	var refEng *refAllocEngine
+	if ref != nil {
+		refEng = &refAllocEngine{denseEngine: de.eng.(*denseEngine), tally: ref}
+		de.eng = refEng
 	}
 	path, err := drainpath.FindEulerian(g)
 	if err != nil {
@@ -140,6 +139,9 @@ func checkDenseVsEvent(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) error {
 		}
 		de.Step()
 		ev.Step()
+		if refEng != nil && refEng.err != nil {
+			return fmt.Errorf("cycle %d: %w", cyc, refEng.err)
+		}
 		if de.Cycle() != ev.Cycle() {
 			return fmt.Errorf("cycle %d: clocks diverge: dense=%d event=%d", cyc, de.Cycle(), ev.Cycle())
 		}
@@ -211,6 +213,9 @@ func checkDenseVsEvent(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) error {
 					for i := int64(0); i < w; i++ {
 						de.Step()
 					}
+					if refEng != nil && refEng.err != nil {
+						return fmt.Errorf("cycle %d: fast-forward: %w", cyc, refEng.err)
+					}
 					cyc += w
 					if err := compareBuffers(de, ev); err != nil {
 						return fmt.Errorf("cycle %d: after %d-cycle fast-forward: %w", cyc, w, err)
@@ -228,6 +233,49 @@ func checkDenseVsEvent(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) error {
 		return fmt.Errorf("rng streams diverge after run: dense=%#x event=%#x", d, e)
 	}
 	return nil
+}
+
+// lockstepConfig is the random network configuration of the lockstep
+// properties: a random connected graph of 4–15 routers, 1–2 virtual
+// networks of 1–3 VCs each and, for even escRaw, escape VCs (sticky or
+// not) under adaptive or up*/down* escape routing. Seed bits above the
+// fault-plan bits pick the time-driven knobs, each default, small, or
+// disabled: InjectPatience (the conservative-injection bypass),
+// DerouteAfter (stalled packets deroute over any output) and
+// EscapeAfter.
+func lockstepConfig(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8, rng *rand.Rand) (Config, error) {
+	g, err := topology.NewRandomConnected(int(nRaw%12)+4, int(seed%7), rng)
+	if err != nil {
+		return Config{}, err
+	}
+	vnets := int(vnRaw%2) + 1
+	cfg := Config{
+		Graph: g, VNets: vnets, VCsPerVN: int(vcRaw%3) + 1, Classes: vnets,
+		Routing: routing.AdaptiveMinimal,
+		Seed:    seed,
+	}
+	knobs := seed >> 8
+	if escRaw%2 == 0 {
+		cfg.PolicyEscape = true
+		cfg.EscapeRouting = routing.AdaptiveMinimal
+		if knobs%3 == 0 {
+			cfg.EscapeRouting = routing.UpDown
+		}
+		cfg.NonStickyEscape = escRaw%4 == 0
+	}
+	pick := func(v uint64, small int) int {
+		switch v % 4 {
+		case 1:
+			return small
+		case 2:
+			return -1
+		}
+		return 0 // the default
+	}
+	cfg.InjectPatience = pick(knobs>>2, 1+int((knobs>>12)%24))
+	cfg.DerouteAfter = pick(knobs>>4, 1+int((knobs>>17)%4))
+	cfg.EscapeAfter = pick(knobs>>6, 1+int((knobs>>19)%6))
+	return cfg, nil
 }
 
 // rotateBoth applies the same drain rotation to both networks and
@@ -286,7 +334,7 @@ func compareBuffers(de, ev *Network) error {
 
 func TestDenseVsEventUnderRandomConfigs(t *testing.T) {
 	f := func(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) bool {
-		err := checkDenseVsEvent(seed, nRaw, vnRaw, vcRaw, escRaw)
+		err := checkDenseVsEvent(seed, nRaw, vnRaw, vcRaw, escRaw, nil)
 		if err != nil && !errors.Is(err, errSkip) {
 			t.Logf("seed=%d: %v", seed, err)
 			return false
@@ -306,7 +354,7 @@ func FuzzDenseVsEvent(f *testing.F) {
 	f.Add(uint64(0xd1ce), uint8(7), uint8(1), uint8(2), uint8(1))
 	f.Add(uint64(99), uint8(11), uint8(0), uint8(1), uint8(2))
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) {
-		if err := checkDenseVsEvent(seed, nRaw, vnRaw, vcRaw, escRaw); err != nil && !errors.Is(err, errSkip) {
+		if err := checkDenseVsEvent(seed, nRaw, vnRaw, vcRaw, escRaw, nil); err != nil && !errors.Is(err, errSkip) {
 			t.Fatal(err)
 		}
 	})

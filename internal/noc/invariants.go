@@ -5,6 +5,11 @@ import "fmt"
 // CheckInvariants validates internal consistency; tests call it between
 // steps. It returns the first violation found.
 func (n *Network) CheckInvariants() error {
+	for i, w := range n.gs.want {
+		if len(w) != 0 || n.gs.wanted[i>>6]&(1<<(i&63)) != 0 {
+			return fmt.Errorf("noc: want list %d holds %d entries between steps (allocateRouter empties every list it fills)", i, len(w))
+		}
+	}
 	seen := make(map[int64]string)
 	note := func(p *Packet, where string) error {
 		if p.pooled {

@@ -73,6 +73,7 @@ type Network struct {
 
 	inLinks  [][]int // link IDs ending at each router
 	outLinks [][]int // link IDs starting at each router
+	outPos   []int32 // outPos[l]: l's index in outLinks of its source router
 
 	// occIn[r] counts occupied input VC buffers (link + local) at router
 	// r. allocate() skips routers with zero occupancy — the "active
@@ -97,13 +98,6 @@ type Network struct {
 	gs      gatherScratch
 	scrOpts []grant
 	scrWin  []int
-
-	// wantOut[link] == cycle marks output links some request gathered
-	// this cycle could use, letting allocateRouter skip the arbitration
-	// of outputs that would yield zero options (and so draw nothing).
-	// Links belong to exactly one source router, so stamps from routers
-	// sharing a cycle never collide (see noteWantOut).
-	wantOut []int64
 
 	// occLink[l] counts occupied VC buffers at the input port fed by link
 	// l; occLocal[r] counts occupied local (injection-port) VC buffers at
@@ -164,7 +158,7 @@ func New(cfg Config) (*Network, error) {
 	n.ejQ = make([][]pktQueue, g.N())
 	n.occIn = make([]int32, g.N())
 	n.ejDirty = make([]bool, g.N())
-	n.wantOut = make([]int64, g.NumLinks())
+	n.outPos = make([]int32, g.NumLinks())
 	n.occLink = make([]int32, g.NumLinks())
 	n.occLocal = make([]int32, g.N())
 	n.linkDown = make([]bool, g.NumLinks())
@@ -183,8 +177,13 @@ func New(cfg Config) (*Network, error) {
 	}
 	for _, l := range g.Links() {
 		n.inLinks[l.To] = append(n.inLinks[l.To], l.ID)
+		n.outPos[l.ID] = int32(len(n.outLinks[l.From]))
 		n.outLinks[l.From] = append(n.outLinks[l.From], l.ID)
+		if len(n.outLinks[l.From]) > len(n.gs.want) {
+			n.gs.want = append(n.gs.want, nil)
+		}
 	}
+	n.gs.wanted = make([]uint64, (len(n.gs.want)+63)/64)
 	n.Counters.VNFlits = make([]int64, cfg.VNets)
 	n.Counters.VNActiveRouterCycles = make([]int64, cfg.VNets)
 	n.Counters.vnRouterLastActive = make([][]int64, cfg.VNets)

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"context"
+	"math/bits"
 
 	"drain/internal/routing"
 )
@@ -35,13 +36,17 @@ type request struct {
 	inLink int // LocalPort or link ID
 	slot   int
 	wantEj bool
-	// outputs the packet may take from a non-escape standpoint and from
-	// an escape standpoint, as candidate entries (LinkID + phase info).
-	// Both alias the routing table's shared read-only candidate sets and
-	// are never mutated or retained past the cycle.
-	mainOuts []routing.Candidate
-	escOuts  []routing.Candidate
 }
+
+// outWant files request req under one output it may use (scratch
+// state), with the main (non-escape) and escape candidates it has there.
+type outWant struct {
+	req       int32
+	main, esc candBits
+}
+
+// candBits is one routing candidate as an outWant keeps it.
+type candBits struct{ ok, downPhase, productive bool }
 
 // grant is one feasible (input VC → output slot) assignment during link
 // arbitration (scratch state).
@@ -56,14 +61,12 @@ type grant struct {
 // gatherScratch is the request-gathering scratch (the Network's gs).
 type gatherScratch struct {
 	reqs []request
-	// outs collects the output links stamped via noteWantOut for the
-	// router currently gathering, kept sorted ascending so iterating it
-	// visits outputs in exactly outLinks order (link IDs are dense and
-	// outLinks is built in ID order).
-	outs []int
-	// spill marks that the current router stopped tracking wanted
-	// outputs (too many requests); the allocator scans all its outputs.
-	spill bool
+	// want[i] lists, in request order, the requests that may use the
+	// gathering router's i-th output (outLinks[r][i]; see outPos), and
+	// bit i of wanted is set while want[i] is non-empty. allocateRouter
+	// empties both as it arbitrates.
+	want   [][]outWant
+	wanted []uint64
 }
 
 // Step advances the network by one cycle: completes arrivals, performs
@@ -180,40 +183,37 @@ func (n *Network) allocateRouter(r int) (eligible, granted int) {
 		return eligible, 0
 	}
 	// Eject port first (it frees VCs fastest and models priority to
-	// sinking traffic), then each output link. Outputs no gathered
-	// request can use are skipped: their arbitration would build zero
-	// options and draw no randomness, so the skip is unobservable.
+	// sinking traffic), then each wanted output link in outLinks order
+	// (ascending bits of gs.wanted). An output with an empty want list
+	// would build zero options and draw no randomness, so skipping it is
+	// unobservable.
 	if n.ejectBusy[r] <= n.cycle {
 		granted += n.arbitrateEject(r, reqs)
 	}
-	outs := gs.outs
-	if gs.spill {
-		// Heavily loaded router: the wanted-output set is incomplete, so
-		// arbitrate every output. Unwanted outputs yield zero options and
-		// draw nothing, and both slices ascend by link ID, so the grant
-		// and draw sequence is identical either way.
-		outs = n.outLinks[r]
-	}
-	for _, out := range outs {
-		if n.linkBusy[out] > n.cycle {
-			continue
+	for wi, w := range gs.wanted {
+		gs.wanted[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 + bits.TrailingZeros64(w)
+			wants, out := gs.want[i], n.outLinks[r][i]
+			gs.want[i] = wants[:0]
+			if n.linkBusy[out] > n.cycle {
+				continue
+			}
+			granted += n.arbitrateLink(r, out, reqs, wants)
 		}
-		granted += n.arbitrateLink(r, out, reqs)
 	}
 	return eligible, granted
 }
 
 // gatherRequests lists input VCs of r with a head packet eligible to move
-// this cycle, along with the outputs each may use. The second result
-// counts every eligible head, including those dropped for having no
-// routing candidates right now (deroute/escape eligibility can appear
-// with the passage of time alone, so such heads must keep the router
-// active).
+// this cycle and files each under the outputs it may use (gs.want). The
+// second result counts every eligible head, including those dropped for
+// having no routing candidates right now (deroute/escape eligibility can
+// appear with the passage of time alone, so such heads must keep the
+// router active).
 func (n *Network) gatherRequests(r int, gs *gatherScratch) ([]request, int) {
 	eligible := 0
 	reqs := gs.reqs[:0]
-	gs.outs = gs.outs[:0]
-	gs.spill = false
 	for _, l := range n.inLinks[r] {
 		if n.occLink[l] == 0 {
 			continue
@@ -228,8 +228,7 @@ func (n *Network) gatherRequests(r int, gs *gatherScratch) ([]request, int) {
 }
 
 // considerVCs appends requests for the eligible heads among one input
-// port's VC slots and stamps n.wantOut for every output the appended
-// requests could use (see allocateRouter).
+// port's VC slots and files each under its candidate outputs.
 func (n *Network) considerVCs(r, inLink int, slots []vcSlot, gs *gatherScratch, reqs []request, eligible int) ([]request, int) {
 	for s := range slots {
 		p := slots[s].pkt
@@ -243,73 +242,71 @@ func (n *Network) considerVCs(r, inLink int, slots []vcSlot, gs *gatherScratch, 
 			reqs = append(reqs, req)
 			continue
 		}
-		// A long-stalled packet on an unrestricted (adaptive) routing
-		// function may deroute over any output, including U-turns.
-		stalled := n.cfg.DerouteAfter > 0 && n.cycle-p.readyAt >= int64(n.cfg.DerouteAfter)
-		// Routing candidates. Escape discipline (paper §III-A):
-		// a packet in an escape VC may only continue on escape VCs
-		// under EscapeRouting; others may use either. The candidate
-		// slices are the routing table's shared read-only sets.
-		if n.cfg.PolicyEscape {
-			escapeReady := p.InEscape ||
-				n.cfg.EscapeAfter <= 0 ||
-				n.cycle-p.readyAt >= int64(n.cfg.EscapeAfter)
-			if !p.InEscape {
-				req.mainOuts = n.routeCands(n.cfg.Routing, r, p.Dst, p.DownPhase, stalled)
-			}
-			// Phase for escape routing: a packet entering the escape
-			// network starts its up*/down* walk fresh.
-			escPhase := p.DownPhase
-			if !p.InEscape {
-				escPhase = false
-			}
-			if escapeReady {
-				req.escOuts = n.routeCands(n.cfg.EscapeRouting, r, p.Dst, escPhase, stalled)
-			}
-		} else {
-			req.mainOuts = n.routeCands(n.cfg.Routing, r, p.Dst, p.DownPhase, stalled)
-		}
-		if len(req.mainOuts) > 0 || len(req.escOuts) > 0 {
-			// Track which outputs are wanted only while the router is
-			// lightly loaded: with this many requests essentially every
-			// output is wanted, so allocateRouter scans them all instead
-			// and the per-candidate stamping would be pure overhead.
-			if len(reqs) < wantOutMaxReqs {
-				for _, c := range req.mainOuts {
-					n.noteWantOut(gs, c.LinkID)
-				}
-				for _, c := range req.escOuts {
-					n.noteWantOut(gs, c.LinkID)
-				}
-			} else {
-				gs.spill = true
-			}
+		mainOuts, escOuts := n.requestCands(r, p)
+		if len(mainOuts) > 0 || len(escOuts) > 0 {
+			n.fileWants(gs, int32(len(reqs)), mainOuts, escOuts)
 			reqs = append(reqs, req)
 		}
 	}
 	return reqs, eligible
 }
 
-// wantOutMaxReqs bounds the request count up to which gathering tracks
-// the wanted-output set (see considerVCs).
-const wantOutMaxReqs = 4
+// requestCands returns the outputs packet p at router r may take this
+// cycle from a non-escape and from an escape standpoint. Escape
+// discipline (paper §III-A): a packet in an escape VC may only continue
+// on escape VCs under EscapeRouting; others may use either. Both are the
+// routing table's shared read-only sets.
+func (n *Network) requestCands(r int, p *Packet) (mainOuts, escOuts []routing.Candidate) {
+	// A long-stalled packet on an unrestricted (adaptive) routing
+	// function may deroute over any output, including U-turns.
+	stalled := n.cfg.DerouteAfter > 0 && n.cycle-p.readyAt >= int64(n.cfg.DerouteAfter)
+	if !n.cfg.PolicyEscape {
+		return n.routeCands(n.cfg.Routing, r, p.Dst, p.DownPhase, stalled), nil
+	}
+	if !p.InEscape {
+		mainOuts = n.routeCands(n.cfg.Routing, r, p.Dst, p.DownPhase, stalled)
+	}
+	if p.InEscape || n.cfg.EscapeAfter <= 0 || n.cycle-p.readyAt >= int64(n.cfg.EscapeAfter) {
+		// A packet entering the escape network starts its up*/down*
+		// walk fresh.
+		escOuts = n.routeCands(n.cfg.EscapeRouting, r, p.Dst, p.DownPhase && p.InEscape, stalled)
+	}
+	return mainOuts, escOuts
+}
 
-// noteWantOut records output link `out` as wanted by some request of the
-// router currently gathering, keeping gs.outs sorted ascending (= the
-// outLinks iteration order the dense allocator used, so arbitration and
-// its RNG draws happen in the identical output order). The wantOut
-// cycle stamps live on the Network: a link belongs to exactly one source
-// router, so stamps from routers sharing a cycle never collide.
-func (n *Network) noteWantOut(gs *gatherScratch, out int) {
-	if n.wantOut[out] == n.cycle {
+// fileWants files request req under every output it has a main or an
+// escape candidate for. A candidate list never repeats a LinkID, so the
+// request gets one entry per output: an escape candidate merges into the
+// main entry just filed for its output, if any, which is that list's
+// last. Both lists are often the same routing list (DRAIN routes both
+// standpoints alike); it is then filed once with both bits.
+func (n *Network) fileWants(gs *gatherScratch, req int32, mainOuts, escOuts []routing.Candidate) {
+	same := len(mainOuts) == len(escOuts) && len(mainOuts) > 0 && &mainOuts[0] == &escOuts[0]
+	for _, c := range mainOuts {
+		w := outWant{req: req, main: candBits{ok: true, downPhase: c.DownPhase, productive: c.Productive}}
+		if same {
+			w.esc = w.main
+		}
+		n.addWant(gs, n.outPos[c.LinkID], w)
+	}
+	if same {
 		return
 	}
-	n.wantOut[out] = n.cycle
-	outs := append(gs.outs, out)
-	for j := len(outs) - 1; j > 0 && outs[j-1] > out; j-- {
-		outs[j], outs[j-1] = outs[j-1], outs[j]
+	for _, c := range escOuts {
+		i := n.outPos[c.LinkID]
+		cb := candBits{ok: true, downPhase: c.DownPhase, productive: c.Productive}
+		if list := gs.want[i]; len(list) > 0 && list[len(list)-1].req == req {
+			list[len(list)-1].esc = cb
+			continue
+		}
+		n.addWant(gs, i, outWant{req: req, esc: cb})
 	}
-	gs.outs = outs
+}
+
+// addWant appends w to output i's want list and marks the output wanted.
+func (n *Network) addWant(gs *gatherScratch, i int32, w outWant) {
+	gs.want[i] = append(gs.want[i], w)
+	gs.wanted[i>>6] |= 1 << (i & 63)
 }
 
 // arbitrateEject grants the eject port to one destination packet,
@@ -352,18 +349,20 @@ func (n *Network) commitEject(r int, reqs []request, winners []int) int {
 
 // arbitrateLink grants output link `out` of router r to one input VC,
 // returning the number of grants made (0 or 1).
-func (n *Network) arbitrateLink(r, out int, reqs []request) int {
-	options := n.buildLinkOptions(out, reqs, n.scrOpts[:0])
+func (n *Network) arbitrateLink(r, out int, reqs []request, wants []outWant) int {
+	options := n.buildLinkOptions(out, reqs, wants, n.scrOpts[:0])
 	n.scrOpts = options
 	return n.commitLinkGrant(r, out, reqs, options)
 }
 
 // buildLinkOptions appends every feasible (request → output slot)
-// assignment for link `out` to options. A packet granted an earlier
-// output of the same router (p.sending) is skipped.
-func (n *Network) buildLinkOptions(out int, reqs []request, options []grant) []grant {
-	for i := range reqs {
-		req := &reqs[i]
+// assignment for link `out` to options, in the request order of its
+// want list. A packet granted an earlier output of the same router
+// (p.sending) is skipped.
+func (n *Network) buildLinkOptions(out int, reqs []request, wants []outWant, options []grant) []grant {
+	for i := range wants {
+		w := &wants[i]
+		req := &reqs[w.req]
 		p := req.pkt
 		if p.sending {
 			continue
@@ -385,47 +384,37 @@ func (n *Network) buildLinkOptions(out int, reqs []request, options []grant) []g
 				conservativeOK = false
 			}
 		}
-		if g, ok := n.optionFor(out, i, req, conservativeOK); ok {
+		if g, ok := n.optionFor(out, w, p, conservativeOK); ok {
 			options = append(options, g)
 		}
 	}
 	return options
 }
 
-// optionFor computes the grant for req on output `out`, given the
-// conservative-rule outcome. The non-escape
-// path needs the output in mainOuts and a free non-escape VC downstream
-// in the packet's VNet; failing that, the escape path applies: output
-// legal under escape routing and the escape slot downstream free. A
-// long-stalled local packet may claim an escape slot even against the
-// conservative rule: drains guarantee escape buffers keep turning over,
-// so this bounded bypass restores the injection-progress guarantee
-// (§III-D2) without letting injection pack ordinary buffers to 100%.
-func (n *Network) optionFor(out, reqIdx int, req *request, conservativeOK bool) (grant, bool) {
-	p := req.pkt
-	if conservativeOK {
-		if c, ok := findCand(req.mainOuts, out); ok {
-			if slot, ok2 := n.freeDownstreamSlot(out, p.VNet, false); ok2 {
-				return grant{
-					reqIdx: reqIdx, toSlot: slot,
-					downPhase: c.DownPhase, productive: c.Productive,
-				}, true
-			}
+// optionFor computes the grant for want w (of packet p) on output `out`,
+// given the conservative-rule outcome. The non-escape path needs a main
+// candidate for the output and a free non-escape VC downstream in the
+// packet's VNet; failing that, the escape path applies: an escape
+// candidate and the escape slot downstream free. A long-stalled local
+// packet may claim an escape slot even against the conservative rule:
+// drains guarantee escape buffers keep turning over, so this bounded
+// bypass restores the injection-progress guarantee (§III-D2) without
+// letting injection pack ordinary buffers to 100%.
+func (n *Network) optionFor(out int, w *outWant, p *Packet, conservativeOK bool) (grant, bool) {
+	if conservativeOK && w.main.ok {
+		if slot, ok := n.freeDownstreamSlot(out, p.VNet, false); ok {
+			return grant{
+				reqIdx: int(w.req), toSlot: slot,
+				downPhase: w.main.downPhase, productive: w.main.productive,
+			}, true
 		}
 	}
-	escConservative := conservativeOK || n.injectBypass(p)
-	outsForEscape := req.escOuts
-	if !n.cfg.PolicyEscape {
-		outsForEscape = nil
-	}
-	if escConservative {
-		if c, ok := findCand(outsForEscape, out); ok {
-			if slot, ok2 := n.freeDownstreamSlot(out, p.VNet, true); ok2 {
-				return grant{
-					reqIdx: reqIdx, toSlot: slot, setEscape: !n.cfg.NonStickyEscape,
-					downPhase: c.DownPhase, productive: c.Productive,
-				}, true
-			}
+	if w.esc.ok && (conservativeOK || n.injectBypass(p)) {
+		if slot, ok := n.freeDownstreamSlot(out, p.VNet, true); ok {
+			return grant{
+				reqIdx: int(w.req), toSlot: slot, setEscape: !n.cfg.NonStickyEscape,
+				downPhase: w.esc.downPhase, productive: w.esc.productive,
+			}, true
 		}
 	}
 	return grant{}, false
@@ -489,16 +478,6 @@ func (n *Network) routeCands(k routing.Kind, r, dst int, phase, stalled bool) []
 		return n.tab.AllOutputs(r, dst)
 	}
 	return n.tab.Candidates(k, r, dst, phase)
-}
-
-// findCand returns the candidate targeting link out, if present.
-func findCand(cands []routing.Candidate, out int) (routing.Candidate, bool) {
-	for _, c := range cands {
-		if c.LinkID == out {
-			return c, true
-		}
-	}
-	return routing.Candidate{}, false
 }
 
 // freeSlotsInVN counts free VC slots of virtual network vn at the input

@@ -203,12 +203,24 @@ func (r *refTable) upDown(at, dst int, downPhase bool) []Candidate {
 }
 
 // checkAgainstRef compares every candidate set of tab with ref, element
-// by element, for every (kind, at, dst, phase).
+// by element, for every (kind, at, dst, phase), and holds every set to
+// the no-repeated-LinkID contract of Candidates (the allocator files a
+// request at most once per output on the strength of it).
 func checkAgainstRef(t *testing.T, name string, tab *Table, ref *refTable) {
 	t.Helper()
 	n := ref.g.N()
+	seen := make([]bool, ref.full.NumLinks())
 	same := func(what string, at, dst int, got, want []Candidate) {
 		t.Helper()
+		for _, c := range got {
+			if seen[c.LinkID] {
+				t.Fatalf("%s: %s at %d→%d repeats link %d: %v", name, what, at, dst, c.LinkID, got)
+			}
+			seen[c.LinkID] = true
+		}
+		for _, c := range got {
+			seen[c.LinkID] = false
+		}
 		if len(got) != len(want) {
 			t.Fatalf("%s: %s at %d→%d: %d candidates %v, want %d %v", name, what, at, dst, len(got), got, len(want), want)
 		}

@@ -191,7 +191,10 @@ func (t *Table) AllOutputsPreferProductive(at, dst int) []Candidate {
 // the returned candidates carry DownPhase=false (the phase is meaningless
 // outside up*/down* and is never consumed for such packets). At the
 // destination router it returns no candidates — the caller ejects
-// instead.
+// instead. No list, here or from AllOutputs/AllOutputsPreferProductive,
+// names a LinkID twice: the allocator files a request under each listed
+// output once and relies on it (internal/routing/oracle_test.go checks
+// every list).
 //
 // The returned slice is shared and read-only: it aliases the table's
 // precomputed state and must not be modified or appended to.
